@@ -65,17 +65,12 @@ struct Epoch {
     stats: StoreStats,
     torn_tail_seen: bool,
     stale_index_seen: bool,
-    /// Plan-stage compile time for the epoch, split by where each plan's
-    /// program came from: fresh compiles, persisted program records, and
-    /// the in-memory memo. A warm restart serves every contract from the
-    /// store's contract records, so its whole split is exactly zero —
-    /// the "kill the compile phase" gate.
+    /// Plan-stage compile time for the epoch. A warm restart serves
+    /// every contract from the store's contract records before anything
+    /// is planned, so its compile time is exactly zero.
     compile_ms: f64,
-    compile_cold_ms: f64,
-    compile_store_ms: f64,
-    compile_memo_ms: f64,
     /// Blocks the lazy reachable-block compiler skipped across the
-    /// epoch's fresh compiles.
+    /// epoch's compiles.
     lazy_blocks_skipped: u64,
 }
 
@@ -143,9 +138,6 @@ fn run_epoch(dir: &Path, stream: &[Vec<u8>], bundles: &[ScenarioBundle]) -> Epoc
         torn_tail_seen,
         stale_index_seen,
         compile_ms: profile.compile_time.as_secs_f64() * 1e3,
-        compile_cold_ms: profile.compile_cold_time.as_secs_f64() * 1e3,
-        compile_store_ms: profile.compile_store_time.as_secs_f64() * 1e3,
-        compile_memo_ms: profile.compile_memo_time.as_secs_f64() * 1e3,
         lazy_blocks_skipped: profile.lazy_blocks_skipped,
     }
 }
@@ -261,26 +253,6 @@ fn run_replay(scale: &Scale) -> ReplayReport {
         warm.stats.disk_hits > 0 && warm.stats.disk_misses == 0,
         "warm restart must serve every template from disk"
     );
-    // The compile tier's gate: every distinct contract's program must
-    // come back from its persisted record (promoted alongside the
-    // contract hit), so a graceful restart compiles nothing and writes
-    // nothing.
-    assert_eq!(
-        warm.stats.program_hits as usize, contracts_on_disk,
-        "warm restart must read every persisted program exactly once"
-    );
-    assert_eq!(
-        warm.stats.program_misses, 0,
-        "every contract record must have a program record beside it"
-    );
-    assert_eq!(
-        warm.stats.program_stale, 0,
-        "a same-version reopen must never see a stale program"
-    );
-    assert_eq!(
-        warm.stats.programs_appended, 0,
-        "warm restart must not rewrite any program"
-    );
     assert_eq!(
         warm.compile_ms, 0.0,
         "warm restart must skip the compile phase entirely"
@@ -317,33 +289,23 @@ pub fn replay(scale: &Scale) -> String {
     ));
     json.push_str(&format!(
         "  \"cold\": {{ \"seconds\": {:.4}, \"contracts_per_sec\": {:.2}, \
-         \"disk_misses\": {}, \"records_appended\": {}, \"programs_appended\": {}, \
+         \"disk_misses\": {}, \"records_appended\": {}, \
          \"bytes_appended\": {}, \"fsyncs\": {}, \
-         \"compile\": {{ \"compile_ms\": {:.2}, \"compile_cold_ms\": {:.2}, \
-         \"compile_store_ms\": {:.2}, \"compile_memo_ms\": {:.2}, \
-         \"lazy_blocks_skipped\": {} }} }},\n",
+         \"compile\": {{ \"compile_ms\": {:.2}, \"lazy_blocks_skipped\": {} }} }},\n",
         r.cold.secs,
         cps(r.cold.secs),
         r.cold.stats.disk_misses,
         r.cold.stats.records_appended,
-        r.cold.stats.programs_appended,
         r.cold.stats.bytes_appended,
         r.cold.stats.fsyncs,
         r.cold.compile_ms,
-        r.cold.compile_cold_ms,
-        r.cold.compile_store_ms,
-        r.cold.compile_memo_ms,
         r.cold.lazy_blocks_skipped,
     ));
     json.push_str(&format!(
         "  \"warm_restart\": {{ \"seconds\": {:.4}, \"contracts_per_sec\": {:.2}, \
          \"speedup_vs_cold\": {:.2}, \"disk_hits\": {}, \"disk_misses\": {}, \
          \"disk_hit_rate\": {:.4}, \"records_appended\": {}, \"bytes_read\": {}, \
-         \"program_hits\": {}, \"program_misses\": {}, \"program_stale\": {}, \
-         \"programs_appended\": {}, \
-         \"compile\": {{ \"compile_ms\": {:.2}, \"compile_cold_ms\": {:.2}, \
-         \"compile_store_ms\": {:.2}, \"compile_memo_ms\": {:.2}, \
-         \"lazy_blocks_skipped\": {} }} }},\n",
+         \"compile\": {{ \"compile_ms\": {:.2}, \"lazy_blocks_skipped\": {} }} }},\n",
         r.warm.secs,
         cps(r.warm.secs),
         speedup,
@@ -352,24 +314,15 @@ pub fn replay(scale: &Scale) -> String {
         r.warm.stats.disk_hit_rate(),
         r.warm.stats.records_appended,
         r.warm.stats.bytes_read,
-        r.warm.stats.program_hits,
-        r.warm.stats.program_misses,
-        r.warm.stats.program_stale,
-        r.warm.stats.programs_appended,
         r.warm.compile_ms,
-        r.warm.compile_cold_ms,
-        r.warm.compile_store_ms,
-        r.warm.compile_memo_ms,
         r.warm.lazy_blocks_skipped,
     ));
     json.push_str(&format!(
         "  \"crash_restart\": {{ \"seconds\": {:.4}, \"contracts_per_sec\": {:.2}, \
          \"speedup_vs_cold\": {:.2}, \"torn_bytes\": {}, \"torn_tails\": {}, \
          \"index_rebuilds\": {}, \"corrupt_records\": {}, \"disk_hit_rate\": {:.4}, \
-         \"records_appended\": {}, \"program_hits\": {}, \"program_misses\": {}, \
-         \"compile\": {{ \"compile_ms\": {:.2}, \"compile_cold_ms\": {:.2}, \
-         \"compile_store_ms\": {:.2}, \"compile_memo_ms\": {:.2}, \
-         \"lazy_blocks_skipped\": {} }} }},\n",
+         \"records_appended\": {}, \
+         \"compile\": {{ \"compile_ms\": {:.2}, \"lazy_blocks_skipped\": {} }} }},\n",
         r.crash.secs,
         cps(r.crash.secs),
         r.crash_speedup(),
@@ -379,12 +332,7 @@ pub fn replay(scale: &Scale) -> String {
         r.crash.stats.corrupt_records,
         r.crash.stats.disk_hit_rate(),
         r.crash.stats.records_appended,
-        r.crash.stats.program_hits,
-        r.crash.stats.program_misses,
         r.crash.compile_ms,
-        r.crash.compile_cold_ms,
-        r.crash.compile_store_ms,
-        r.crash.compile_memo_ms,
         r.crash.lazy_blocks_skipped,
     ));
     json.push_str(&format!(
@@ -436,25 +384,10 @@ pub fn replay(scale: &Scale) -> String {
         r.crash.stats.records_appended.to_string(),
     ]);
     t.row(&[
-        "compile ms (cold/store/memo)".into(),
-        format!(
-            "{:.2} / {:.2} / {:.2}",
-            r.cold.compile_cold_ms, r.cold.compile_store_ms, r.cold.compile_memo_ms
-        ),
-        format!(
-            "{:.2} / {:.2} / {:.2}",
-            r.warm.compile_cold_ms, r.warm.compile_store_ms, r.warm.compile_memo_ms
-        ),
-        format!(
-            "{:.2} / {:.2} / {:.2}",
-            r.crash.compile_cold_ms, r.crash.compile_store_ms, r.crash.compile_memo_ms
-        ),
-    ]);
-    t.row(&[
-        "program hits".into(),
-        r.cold.stats.program_hits.to_string(),
-        r.warm.stats.program_hits.to_string(),
-        r.crash.stats.program_hits.to_string(),
+        "compile ms".into(),
+        format!("{:.2}", r.cold.compile_ms),
+        format!("{:.2}", r.warm.compile_ms),
+        format!("{:.2}", r.crash.compile_ms),
     ]);
     t.row(&[
         "torn tails / rebuilds".into(),

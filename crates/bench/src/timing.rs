@@ -50,8 +50,10 @@ pub struct DimensionPoint {
     pub time: Duration,
 }
 
-/// Measures recovery time for a `uint256` nested array of each dimension
-/// in `1..=max_dim` (paper: time grows linearly with the dimension).
+/// Measures cold recovery time for a `uint256` nested array of each
+/// dimension in `1..=max_dim` (paper: time grows linearly with the
+/// dimension). Every repeat is a cache-bypassing [`SigRec::recover_cold`],
+/// so the series times TASE and inference, not cache lookups.
 pub fn dimension_series(max_dim: usize, repeats: usize) -> Vec<DimensionPoint> {
     let sigrec = SigRec::new();
     (1..=max_dim)
@@ -66,10 +68,10 @@ pub fn dimension_series(max_dim: usize, repeats: usize) -> Vec<DimensionPoint> {
                 &CompilerConfig::default(),
             );
             // Warm up once, then measure.
-            let _ = sigrec.recover(&contract.code);
+            let _ = sigrec.recover_cold(&contract.code);
             let start = std::time::Instant::now();
             for _ in 0..repeats.max(1) {
-                let r = sigrec.recover(&contract.code);
+                let r = sigrec.recover_cold(&contract.code);
                 assert_eq!(r.len(), 1);
             }
             DimensionPoint {

@@ -372,10 +372,9 @@ fn persist_scratch() -> std::path::PathBuf {
 /// Every per-bytecode execution path, as `(name, recovery)` pairs: the
 /// five pipeline paths (cold, first/warm recover, dedup and naive batch)
 /// under both execution engines crossed with both fork modes, plus the
-/// persistent-store trio (recover through a store-backed cache, again
-/// across a simulated process restart over the warm store, and once more
-/// through a TASE run over the *decoded* persisted program) —
-/// twenty-three in total, with every budget knob other than
+/// persistent-store pair (recover through a store-backed cache, then
+/// again across a simulated process restart over the warm store) —
+/// twenty-two in total, with every budget knob other than
 /// `exec_engine` and `fork_mode` taken from `base`. Public so the
 /// adversarial fuzz campaign can re-run the exact same paths under
 /// tightened budgets.
@@ -427,30 +426,16 @@ pub fn execution_paths(base: &TaseConfig, code: &[u8]) -> Vec<(String, Vec<Recov
         let sigrec = SigRec::with_config(*base).with_cache(RecoveryCache::persistent(store));
         out.push(("persist-warm-restart".to_string(), sigrec.recover(code)));
     }
-    // Persisted-program decode path: a third fresh "process" runs
-    // `explain`, which re-executes TASE without reading the contract
-    // entry — so its program comes back from the persisted program
-    // record via the compile tier, and the whole recovery must be
-    // byte-identical to every fresh-compile path above.
-    {
-        let store = PersistentStore::open(&dir).expect("reopen for program path");
-        let sigrec = SigRec::with_config(*base).with_cache(RecoveryCache::persistent(store));
-        let explained = sigrec.explain(code);
-        out.push((
-            "persist-program".to_string(),
-            explained.into_iter().map(|e| e.function).collect(),
-        ));
-    }
     let _ = std::fs::remove_dir_all(&dir);
     out
 }
 
 /// Number of comparisons [`find_mismatch`] performs per case: five paths
 /// under two execution engines crossed with two fork modes, plus the
-/// persistent-store cold/warm-restart pair, plus the decoded
-/// persisted-program path, plus one cold recovery under the *other*
-/// inference engine, plus the cross-variant metamorphic relation.
-pub const PATHS_PER_CASE: usize = 25;
+/// persistent-store cold/warm-restart pair, plus one cold recovery under
+/// the *other* inference engine, plus the cross-variant metamorphic
+/// relation.
+pub const PATHS_PER_CASE: usize = 24;
 
 /// The other inference engine — the one a case's cross-engine path runs.
 fn other_engine(engine: InferEngine) -> InferEngine {

@@ -589,7 +589,10 @@ struct GroupState {
     rep: usize,
     /// All duplicate input indices (includes `rep`).
     members: Vec<usize>,
-    plan: OnceLock<Arc<ContractPlan>>,
+    /// The plan its entry jobs share, released by the last entry so the
+    /// plan's disassembly and compiled program die with the contract,
+    /// not with the batch.
+    plan: Mutex<Option<Arc<ContractPlan>>>,
     slots: Mutex<Vec<Option<RecoveredFunction>>>,
     remaining: AtomicUsize,
     /// [`Diagnostic::InternalError`]s from isolated worker panics. A
@@ -663,7 +666,7 @@ fn run_scheduler(
         .map(|(rep, members)| GroupState {
             rep,
             members,
-            plan: OnceLock::new(),
+            plan: Mutex::new(None),
             slots: Mutex::new(Vec::new()),
             remaining: AtomicUsize::new(0),
             panics: Mutex::new(Vec::new()),
@@ -821,7 +824,7 @@ fn run_job(ctx: &Ctx<'_>, me: usize, job: Job, hand: &mut VecDeque<Job>) {
                 let heavy = n >= HEAVY_ENTRIES || ctx.codes[gs.rep].len() >= HEAVY_CODE_BYTES;
                 *gs.slots.lock().expect("slots poisoned") = (0..n).map(|_| None).collect();
                 gs.remaining.store(n, Ordering::Release);
-                gs.plan.set(plan).expect("plan set once");
+                *gs.plan.lock().expect("plan poisoned") = Some(plan);
                 let jobs: Vec<Job> = (0..n).map(|idx| Job::Func { group: g, idx }).collect();
                 if heavy {
                     ctx.heavy.fetch_add(1, Ordering::Relaxed);
@@ -836,10 +839,15 @@ fn run_job(ctx: &Ctx<'_>, me: usize, job: Job, hand: &mut VecDeque<Job>) {
         }
         Job::Func { group, idx } => {
             let gs = &ctx.states[group];
-            let plan = gs.plan.get().expect("plan precedes entries");
+            let plan = gs
+                .plan
+                .lock()
+                .expect("plan poisoned")
+                .clone()
+                .expect("plan precedes entries");
             let recovered = catch_unwind(AssertUnwindSafe(|| {
                 ctx.sigrec
-                    .run_entry(&ctx.codes[gs.rep], plan, idx, ctx.mode)
+                    .run_entry(&ctx.codes[gs.rep], &plan, idx, ctx.mode)
                     .0
             }));
             match recovered {
@@ -868,11 +876,12 @@ fn run_job(ctx: &Ctx<'_>, me: usize, job: Job, hand: &mut VecDeque<Job>) {
                     .collect();
                 let panics = std::mem::take(&mut *gs.panics.lock().expect("panics poisoned"));
                 if panics.is_empty() {
-                    ctx.sigrec.seal(plan, &functions);
+                    ctx.sigrec.seal(&plan, &functions);
                 }
                 let mut diags = assemble_diagnostics(&plan.extraction_diags, &functions);
                 diags.extend(panics);
                 gs.finish(Arc::new(functions), Arc::new(diags));
+                gs.plan.lock().expect("plan poisoned").take();
             }
         }
     }

@@ -34,10 +34,9 @@ use crate::infer::Language;
 use crate::outcome::{BudgetKind, DelegateTarget, Diagnostic};
 use crate::pipeline::RecoveredFunction;
 use crate::rules::RuleId;
-use crate::store::{PersistentStore, ProgramLookup, ProgramVerify, StoreStats};
+use crate::store::{PersistentStore, StoreStats};
 use sigrec_abi::AbiType;
-use sigrec_evm::{Disassembly, Program};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -91,10 +90,6 @@ pub struct CacheStats {
     pub function_hits: u64,
     /// Function-level lookups that missed.
     pub function_misses: u64,
-    /// Compiled-program lookups that found a shared [`Program`].
-    pub program_hits: u64,
-    /// Compiled-program lookups that compiled fresh.
-    pub program_misses: u64,
     /// Contract lookups that missed memory but were served from the
     /// persistent tier (a subset of `contract_hits`). Zero without a
     /// [`PersistentStore`].
@@ -115,9 +110,11 @@ impl CacheStats {
         rate(self.function_hits, self.function_misses)
     }
 
-    /// Fraction of program lookups served from the cache (0 when idle).
+    /// Fraction of compiled programs served from the cache: always 0.
+    /// A compiled [`Program`](sigrec_evm::Program) belongs to the plan
+    /// that compiled it and dies with it, so the cache holds none.
     pub fn program_hit_rate(&self) -> f64 {
-        rate(self.program_hits, self.program_misses)
+        0.0
     }
 
     /// Fraction of disk probes served from the persistent tier (0 when
@@ -136,46 +133,19 @@ fn rate(hits: u64, misses: u64) -> f64 {
     }
 }
 
-/// Where [`RecoveryCache::program_for`] found its program — the pipeline
-/// attributes compile-phase time by this.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ProgramSource {
-    /// Shared from the in-memory program map (another worker or an
-    /// earlier entry already paid for it).
-    Memory,
-    /// Decoded from a persisted program record — the compile phase was
-    /// skipped entirely.
-    Disk,
-    /// Compiled fresh (lazily, over the reachable blocks).
-    Compiled,
-}
-
 #[derive(Debug, Default)]
 struct CacheInner {
-    /// The optional persistent tier: read-through on contract misses
-    /// *and* program misses, write-behind on contract seals (which
-    /// persist the compiled program alongside the functions). Only
-    /// function-level extent entries stay memory-only — they are an
-    /// intra-process sharing optimisation.
+    /// The optional persistent tier: read-through on contract misses,
+    /// write-behind on contract seals. Function-level extent entries
+    /// stay memory-only — they are an intra-process sharing
+    /// optimisation.
     store: Option<PersistentStore>,
     contracts: Mutex<HashMap<[u8; 32], Arc<CachedContract>>>,
     functions: Mutex<HashMap<(u64, usize), CachedFunction>>,
-    /// Block-compiled programs, keyed like contracts: a pure function of
-    /// the bytes, so entries never invalidate and duplicates across a
-    /// batch share one compile.
-    programs: Mutex<HashMap<[u8; 32], Arc<Program>>>,
-    /// Keys whose persisted program record has been verified (checksum +
-    /// format version) but not yet decoded. The warm promote path fills
-    /// this instead of materialising steps nobody may ever execute;
-    /// [`RecoveryCache::program_for`] drains it with the deferred decode
-    /// on first actual use.
-    disk_programs: Mutex<HashSet<[u8; 32]>>,
     contract_hits: AtomicU64,
     contract_misses: AtomicU64,
     function_hits: AtomicU64,
     function_misses: AtomicU64,
-    program_hits: AtomicU64,
-    program_misses: AtomicU64,
 }
 
 /// A shared, thread-safe, content-addressed memo of recovery results.
@@ -251,21 +221,6 @@ impl RecoveryCache {
                     .expect("cache poisoned")
                     .entry(*key)
                     .or_insert_with(|| Arc::clone(&entry));
-                // Promote the persisted compiled program in the same
-                // breath — verify-only, decode deferred. Warm contract
-                // hits short-circuit the plan stage before it would ever
-                // ask for a program, so this is the read path that makes
-                // a graceful restart skip the compile phase for every
-                // distinct contract, and deferring the body decode keeps
-                // the promote at one checksum pass over the mapped
-                // record instead of a full step materialisation.
-                if let ProgramVerify::Ok = store.verify_program(key) {
-                    self.inner
-                        .disk_programs
-                        .lock()
-                        .expect("cache poisoned")
-                        .insert(*key);
-                }
                 self.inner.contract_hits.fetch_add(1, Ordering::Relaxed);
                 return Some(entry);
             }
@@ -288,27 +243,8 @@ impl RecoveryCache {
         functions: Vec<RecoveredFunction>,
         extraction_diags: Vec<Diagnostic>,
     ) {
-        self.store_contract_with_program(key, functions, extraction_diags, None);
-    }
-
-    /// [`RecoveryCache::store_contract`], additionally persisting the
-    /// contract's compiled program so the next process skips the compile
-    /// phase. The program is written only when the contract record
-    /// itself passes the seal gate — an unsealable recovery persists
-    /// nothing at all.
-    pub fn store_contract_with_program(
-        &self,
-        key: [u8; 32],
-        functions: Vec<RecoveredFunction>,
-        extraction_diags: Vec<Diagnostic>,
-        program: Option<&Program>,
-    ) {
         if let Some(store) = &self.inner.store {
-            if let (Ok(true), Some(program)) =
-                (store.append(key, &functions, &extraction_diags), program)
-            {
-                let _ = store.append_program(key, program);
-            }
+            let _ = store.append(key, &functions, &extraction_diags);
         }
         self.inner.contracts.lock().expect("cache poisoned").insert(
             key,
@@ -344,80 +280,6 @@ impl RecoveryCache {
             .insert((span_hash, entry), cached);
     }
 
-    /// Returns the block-compiled [`Program`] for the contract hashing to
-    /// `key`: memory first, then the persistent tier's program records,
-    /// then a fresh lazy compile over the blocks reachable from
-    /// `entries` (outside the lock), memoised on first use. Compilation
-    /// is a pure function of the bytes, so when two workers race on the
-    /// same key the loser's compile is simply dropped in favour of the
-    /// first inserted `Arc`. A stale persisted program (format-version
-    /// mismatch) triggers the recompile; the recompiled program is
-    /// returned as [`ProgramSource::Compiled`], so the plan's seal
-    /// appends a current-format record that shadows the stale one.
-    pub fn program_for(
-        &self,
-        key: &[u8; 32],
-        disasm: &Disassembly,
-        entries: &[usize],
-    ) -> (Arc<Program>, ProgramSource) {
-        if let Some(hit) = self
-            .inner
-            .programs
-            .lock()
-            .expect("cache poisoned")
-            .get(key)
-            .cloned()
-        {
-            self.inner.program_hits.fetch_add(1, Ordering::Relaxed);
-            return (hit, ProgramSource::Memory);
-        }
-        if let Some(store) = &self.inner.store {
-            // A record the promote path already verified decodes without
-            // re-counting (the serve was counted then); otherwise the
-            // full store lookup verifies, decodes, and counts in one go.
-            let promoted = self
-                .inner
-                .disk_programs
-                .lock()
-                .expect("cache poisoned")
-                .remove(key);
-            let decoded = if promoted {
-                store.decode_program(key)
-            } else {
-                match store.lookup_program(key) {
-                    ProgramLookup::Hit(program) => Some(program),
-                    // Stale and Miss both fall through to a fresh
-                    // compile; the store's counters record which it was.
-                    ProgramLookup::Stale | ProgramLookup::Miss => None,
-                }
-            };
-            if let Some(program) = decoded {
-                self.inner.program_hits.fetch_add(1, Ordering::Relaxed);
-                let decoded = Arc::new(program);
-                let shared = self
-                    .inner
-                    .programs
-                    .lock()
-                    .expect("cache poisoned")
-                    .entry(*key)
-                    .or_insert_with(|| Arc::clone(&decoded))
-                    .clone();
-                return (shared, ProgramSource::Disk);
-            }
-        }
-        self.inner.program_misses.fetch_add(1, Ordering::Relaxed);
-        let compiled = Arc::new(Program::compile_reachable(disasm, entries));
-        let shared = self
-            .inner
-            .programs
-            .lock()
-            .expect("cache poisoned")
-            .entry(*key)
-            .or_insert(compiled)
-            .clone();
-        (shared, ProgramSource::Compiled)
-    }
-
     /// A snapshot of the hit/miss counters (both tiers).
     pub fn stats(&self) -> CacheStats {
         let (disk_hits, disk_misses) = match &self.inner.store {
@@ -432,8 +294,6 @@ impl RecoveryCache {
             contract_misses: self.inner.contract_misses.load(Ordering::Relaxed),
             function_hits: self.inner.function_hits.load(Ordering::Relaxed),
             function_misses: self.inner.function_misses.load(Ordering::Relaxed),
-            program_hits: self.inner.program_hits.load(Ordering::Relaxed),
-            program_misses: self.inner.program_misses.load(Ordering::Relaxed),
             disk_hits,
             disk_misses,
         }
@@ -544,6 +404,7 @@ mod tests {
         let stats = RecoveryCache::new().stats();
         assert_eq!(stats.contract_hit_rate(), 0.0);
         assert_eq!(stats.function_hit_rate(), 0.0);
+        assert_eq!(stats.program_hit_rate(), 0.0);
     }
 
     #[test]

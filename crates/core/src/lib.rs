@@ -41,9 +41,7 @@ pub use batch::{
     recover_batch, recover_batch_naive, BatchItem, BatchResult, BatchTimings, DedupStats,
     LatencyHistogram,
 };
-pub use cache::{
-    body_span_hash, CacheStats, CachedContract, CachedFunction, ProgramSource, RecoveryCache,
-};
+pub use cache::{body_span_hash, CacheStats, CachedContract, CachedFunction, RecoveryCache};
 pub use cow::{CowJournal, CowStack};
 pub use exec::{ExecStats, ForkMode, Tase, TaseConfig};
 pub use extract::{extract_dispatch, extract_dispatch_diag, DispatchEntry, DispatchExtraction};
@@ -58,4 +56,4 @@ pub use outcome::{
 pub use pipeline::{Explanation, LinkSet, RecoveredFunction, SigRec};
 pub use rules::{RuleId, RuleStats};
 pub use shrink::minimize;
-pub use store::{PersistentStore, ProgramLookup, StoreDiagnostic, StoreOptions, StoreStats};
+pub use store::{PersistentStore, StoreDiagnostic, StoreOptions, StoreStats};

@@ -15,9 +15,7 @@
 //! `(body-extent hash, entry pc)`.
 
 use crate::batch::LatencyHistogram;
-use crate::cache::{
-    body_span_hash, CacheStats, CachedContract, CachedFunction, ProgramSource, RecoveryCache,
-};
+use crate::cache::{body_span_hash, CacheStats, CachedContract, CachedFunction, RecoveryCache};
 use crate::exec::ForkMode;
 use crate::exec::{ExecEngine, ExecStats, Tase, TaseConfig};
 use crate::extract::{extract_dispatch_diag, DispatchEntry};
@@ -139,6 +137,10 @@ pub struct SigRec {
     config: TaseConfig,
     cache: RecoveryCache,
     stats: Option<Arc<StatsAccum>>,
+    /// Every program [`SigRec::plan`] compiled, held weakly so tests can
+    /// check that none outlives its plan.
+    #[cfg(test)]
+    planned_programs: Arc<std::sync::Mutex<Vec<std::sync::Weak<Program>>>>,
 }
 
 /// How one pipeline invocation interacts with the cache.
@@ -166,15 +168,12 @@ pub(crate) struct ContractPlan {
     pub(crate) cached: Option<Arc<CachedContract>>,
     disasm: Disassembly,
     /// The block-compiled program every entry of the plan shares —
-    /// compiled once per distinct contract (and memoised in the cache for
-    /// keyed modes) when [`ExecEngine::Block`] is selected; `None` under
-    /// [`ExecEngine::Instr`] and for contract-level cache hits.
+    /// compiled once per plan when [`ExecEngine::Block`] is selected;
+    /// `None` under [`ExecEngine::Instr`] and for contract-level cache
+    /// hits. The plan is its only long-lived owner: once the signatures
+    /// are sealed only they are worth keeping, so the program is
+    /// dropped with the plan and never memoised or persisted.
     program: Option<Arc<Program>>,
-    /// Where the plan's program came from (memory tier, persisted program
-    /// record, or a fresh compile). Seal uses this to persist exactly the
-    /// freshly-compiled programs — a program served from disk is already
-    /// on disk. `None` when `program` is.
-    program_source: Option<ProgramSource>,
     /// Dispatch table, in dispatcher order.
     pub(crate) table: Vec<DispatchEntry>,
     /// Per-entry exclusive end of the function body: the next-larger
@@ -191,17 +190,16 @@ pub(crate) struct ContractPlan {
 }
 
 /// For each table entry, one past the last byte of its body: the smallest
-/// dispatch entry pc above it, or the code length.
+/// dispatch entry pc above it, or the code length. O(n log n): the entry
+/// pcs are sorted once and each successor is a binary search.
 fn body_extents(code_len: usize, table: &[DispatchEntry]) -> Vec<usize> {
+    let mut pcs: Vec<usize> = table.iter().map(|e| e.entry).collect();
+    pcs.sort_unstable();
     table
         .iter()
         .map(|e| {
-            table
-                .iter()
-                .map(|o| o.entry)
-                .filter(|&o| o > e.entry)
-                .min()
-                .unwrap_or(code_len)
+            let next = pcs.partition_point(|&pc| pc <= e.entry);
+            pcs.get(next).copied().unwrap_or(code_len)
         })
         .collect()
 }
@@ -216,8 +214,7 @@ impl SigRec {
     pub fn with_config(config: TaseConfig) -> Self {
         SigRec {
             config,
-            cache: RecoveryCache::new(),
-            stats: None,
+            ..Self::default()
         }
     }
 
@@ -473,7 +470,6 @@ impl SigRec {
                     cached: Some(hit),
                     disasm: Disassembly::new(&[]),
                     program: None,
-                    program_source: None,
                     table: Vec::new(),
                     extents: Vec::new(),
                     extraction_diags: Vec::new(),
@@ -501,7 +497,7 @@ impl SigRec {
             }
         }
         let extents = body_extents(code.len(), &extraction.table);
-        let (program, program_source) = match self.config.exec_engine {
+        let program = match self.config.exec_engine {
             ExecEngine::Block => {
                 let compile_start = self.stats.as_ref().map(|_| Instant::now());
                 // Lazy compile: only blocks reachable from the dispatch
@@ -509,44 +505,28 @@ impl SigRec {
                 // to per-instruction semantics for anything a computed
                 // jump discovers at run time.
                 let entry_pcs: Vec<usize> = extraction.table.iter().map(|e| e.entry).collect();
-                let (program, source) = match &key {
-                    // Keyed modes share one compile per distinct contract
-                    // across plans, workers, and batch duplicates — and
-                    // read persisted programs through the store first.
-                    Some(k) => self.cache.program_for(k, &disasm, &entry_pcs),
-                    None => (
-                        Arc::new(Program::compile_reachable(&disasm, &entry_pcs)),
-                        ProgramSource::Compiled,
-                    ),
-                };
+                let program = Arc::new(Program::compile_reachable(&disasm, &entry_pcs));
                 if let (Some(acc), Some(t0)) = (&self.stats, compile_start) {
                     let r = Ordering::Relaxed;
-                    let nanos = t0.elapsed().as_nanos() as u64;
-                    acc.compile_nanos.fetch_add(nanos, r);
-                    match source {
-                        ProgramSource::Compiled => {
-                            acc.compile_cold_nanos.fetch_add(nanos, r);
-                            acc.lazy_blocks_skipped
-                                .fetch_add(program.uncompiled_block_count() as u64, r);
-                        }
-                        ProgramSource::Disk => {
-                            acc.compile_store_nanos.fetch_add(nanos, r);
-                        }
-                        ProgramSource::Memory => {
-                            acc.compile_memo_nanos.fetch_add(nanos, r);
-                        }
-                    }
+                    acc.compile_nanos
+                        .fetch_add(t0.elapsed().as_nanos() as u64, r);
+                    acc.lazy_blocks_skipped
+                        .fetch_add(program.uncompiled_block_count() as u64, r);
                 }
-                (Some(program), Some(source))
+                #[cfg(test)]
+                self.planned_programs
+                    .lock()
+                    .expect("probe poisoned")
+                    .push(Arc::downgrade(&program));
+                Some(program)
             }
-            ExecEngine::Instr => (None, None),
+            ExecEngine::Instr => None,
         };
         ContractPlan {
             key,
             cached: None,
             disasm,
             program,
-            program_source,
             table: extraction.table,
             extents,
             extraction_diags: extraction.diagnostics,
@@ -591,20 +571,8 @@ impl SigRec {
             return;
         }
         if let Some(key) = plan.key {
-            // Persist the program only when this plan compiled it fresh:
-            // a Disk-sourced program is already a current-format record,
-            // and a Memory hit was persisted by whichever plan compiled
-            // it (or is about to be, by that plan's own seal).
-            let program = match plan.program_source {
-                Some(ProgramSource::Compiled) => plan.program.as_deref(),
-                _ => None,
-            };
-            self.cache.store_contract_with_program(
-                key,
-                functions.to_vec(),
-                plan.extraction_diags.clone(),
-                program,
-            );
+            self.cache
+                .store_contract(key, functions.to_vec(), plan.extraction_diags.clone());
         }
     }
 
@@ -781,14 +749,7 @@ struct StatsAccum {
     infer_shared_nanos: AtomicU64,
     /// Wall-clock spent block-compiling programs (plan stage).
     compile_nanos: AtomicU64,
-    /// `compile_nanos` split by [`ProgramSource`]: fresh compiles, plans
-    /// served by a persisted program record, and plans served by the
-    /// in-memory program memo. The three sum to `compile_nanos`.
-    compile_cold_nanos: AtomicU64,
-    compile_store_nanos: AtomicU64,
-    compile_memo_nanos: AtomicU64,
-    /// Blocks the lazy reachable-block compiler left as placeholders,
-    /// summed over fresh compiles only.
+    /// Blocks the lazy reachable-block compiler left as placeholders.
     lazy_blocks_skipped: AtomicU64,
     /// Scheduler park events, reported by the batch driver after its
     /// workers join. The batch scheduler itself keeps *plain* per-worker
@@ -832,9 +793,6 @@ impl Default for StatsAccum {
             infer_refine_nanos: AtomicU64::new(0),
             infer_shared_nanos: AtomicU64::new(0),
             compile_nanos: AtomicU64::new(0),
-            compile_cold_nanos: AtomicU64::new(0),
-            compile_store_nanos: AtomicU64::new(0),
-            compile_memo_nanos: AtomicU64::new(0),
             lazy_blocks_skipped: AtomicU64::new(0),
             contention: AtomicU64::new(0),
             steals: AtomicU64::new(0),
@@ -929,9 +887,6 @@ impl StatsAccum {
             infer_refine_time: Duration::from_nanos(self.infer_refine_nanos.load(r)),
             infer_shared_time: Duration::from_nanos(self.infer_shared_nanos.load(r)),
             compile_time: Duration::from_nanos(self.compile_nanos.load(r)),
-            compile_cold_time: Duration::from_nanos(self.compile_cold_nanos.load(r)),
-            compile_store_time: Duration::from_nanos(self.compile_store_nanos.load(r)),
-            compile_memo_time: Duration::from_nanos(self.compile_memo_nanos.load(r)),
             lazy_blocks_skipped: self.lazy_blocks_skipped.load(r),
             // Keyed on hits, not on nonzero time: a rule whose exclusive
             // share rounds to zero nanoseconds still fired.
@@ -987,22 +942,12 @@ pub struct PipelineStats {
     /// `infer_shared_time + Σ rule_time == infer_time` (up to the clock
     /// quantisation of each call).
     pub infer_shared_time: Duration,
-    /// Wall-clock spent block-compiling programs at plan time (zero under
-    /// [`ExecEngine::Instr`]; shared compiles are counted once).
+    /// Wall-clock spent block-compiling programs at plan time: one
+    /// compile per planned contract (zero under [`ExecEngine::Instr`]
+    /// and for contract-level cache hits).
     pub compile_time: Duration,
-    /// The slice of [`PipelineStats::compile_time`] spent on plans whose
-    /// program was freshly compiled — the genuine compile cost.
-    pub compile_cold_time: Duration,
-    /// The slice spent on plans served by a persisted program record
-    /// (decode cost, no compile).
-    pub compile_store_time: Duration,
-    /// The slice spent on plans served by the in-memory program memo
-    /// (lookup cost only). `compile_cold_time + compile_store_time +
-    /// compile_memo_time == compile_time`.
-    pub compile_memo_time: Duration,
     /// Basic blocks the lazy reachable-block compiler left as cheap
-    /// placeholders instead of fully pre-decoding, summed over fresh
-    /// compiles.
+    /// placeholders instead of fully pre-decoding, summed over compiles.
     pub lazy_blocks_skipped: u64,
     /// Per-rule *exclusive* inference time: each call's duration minus
     /// its index build splits evenly across the distinct rules that
@@ -1316,5 +1261,83 @@ mod tests {
         a.recover(&contract.code);
         b.recover(&contract.code);
         assert_eq!(b.cache_stats().contract_hits, 1);
+    }
+
+    /// The quadratic definition [`body_extents`] replaced: each entry's
+    /// successor is the minimum over every larger entry pc.
+    fn body_extents_quadratic(code_len: usize, table: &[DispatchEntry]) -> Vec<usize> {
+        table
+            .iter()
+            .map(|e| {
+                table
+                    .iter()
+                    .map(|o| o.entry)
+                    .filter(|&o| o > e.entry)
+                    .min()
+                    .unwrap_or(code_len)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn body_extents_match_the_quadratic_definition() {
+        let entry = |pc: usize| DispatchEntry {
+            selector: Selector::from_u32(pc as u32),
+            entry: pc,
+        };
+        assert!(body_extents(10, &[]).is_empty());
+        assert_eq!(body_extents(10, &[entry(4)]), vec![10]);
+        // xorshift64: random unsorted tables whose pcs are drawn from a
+        // narrow range, so duplicate entry pcs are common; a few pcs
+        // land past the code length.
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = |bound: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % bound as u64) as usize
+        };
+        for _ in 0..500 {
+            let code_len = 1 + next(200);
+            let n = next(40);
+            let table: Vec<DispatchEntry> = (0..n).map(|_| entry(next(code_len + 8))).collect();
+            assert_eq!(
+                body_extents(code_len, &table),
+                body_extents_quadratic(code_len, &table),
+                "code_len {code_len}, table {table:?}"
+            );
+        }
+    }
+
+    /// Every program the instance's plans compiled, with how many are
+    /// still alive.
+    fn live_programs(sigrec: &SigRec) -> (usize, usize) {
+        let planned = sigrec.planned_programs.lock().unwrap();
+        let live = planned.iter().filter(|w| w.upgrade().is_some()).count();
+        (planned.len(), live)
+    }
+
+    #[test]
+    fn programs_do_not_outlive_their_plans() {
+        let code = |decl: &str| {
+            let sig = FunctionSignature::parse(decl).unwrap();
+            compile(
+                &[FunctionSpec::new(sig, Visibility::External)],
+                &CompilerConfig::default(),
+            )
+            .code
+        };
+        let (a, b) = (code("f(uint64,bool)"), code("g(bytes,address)"));
+
+        let sigrec = SigRec::new();
+        assert_eq!(sigrec.recover(&a).len(), 1);
+        assert_eq!(live_programs(&sigrec), (1, 0), "after recover");
+
+        // Duplicates share their group's plan: one compile per distinct
+        // contract, and every program is gone once the batch returns.
+        let sigrec = SigRec::new();
+        let batch = crate::batch::recover_batch(&sigrec, &[a.clone(), b.clone(), a, b], 2);
+        assert_eq!(batch.items.len(), 4);
+        assert_eq!(live_programs(&sigrec), (2, 0), "after recover_batch");
     }
 }

@@ -284,19 +284,26 @@ fn linked_results_are_never_persisted_under_the_proxy_key() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// Reads the segment's record framing the same way the store does, so
-/// the fault injector can find the last record's byte range.
-fn last_record_span(segment: &[u8]) -> (usize, usize) {
+/// Reads the segment's record framing the same way the store does:
+/// every record's `(start, end)` byte range, in append order.
+fn record_spans(segment: &[u8]) -> Vec<(usize, usize)> {
     let mut pos = 8; // segment magic
-    let mut last = (pos, segment.len());
+    let mut spans = Vec::new();
     while pos < segment.len() {
         let len = u32::from_le_bytes(segment[pos + 32..pos + 36].try_into().unwrap()) as usize;
         let end = pos + 32 + 4 + 8 + len;
-        last = (pos, end);
+        spans.push((pos, end));
         pos = end;
     }
     assert_eq!(pos, segment.len(), "test segment must be clean");
-    last
+    spans
+}
+
+/// The last record's byte range, for the fault injectors.
+fn last_record_span(segment: &[u8]) -> (usize, usize) {
+    *record_spans(segment)
+        .last()
+        .expect("segment holds a record")
 }
 
 fn copy_store(src: &Path, dst: &Path) {
@@ -485,8 +492,7 @@ fn batch_runs_share_the_store_across_restarts() {
 }
 
 /// FNV-1a over `key || payload_len || payload`, mirroring the store's
-/// record checksum so the fault injectors below can re-frame a doctored
-/// record.
+/// record checksum so a test can frame a hand-built record.
 fn record_checksum(key: &[u8; 32], payload: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     let mut eat = |bytes: &[u8]| {
@@ -501,189 +507,111 @@ fn record_checksum(key: &[u8; 32], payload: &[u8]) -> u64 {
     h
 }
 
-/// Tentpole regression: a graceful restart must serve both the contract
-/// result *and* its compiled program from disk — the compile phase is
-/// eliminated, not just the exploration.
-#[test]
-fn graceful_restart_reads_programs_and_skips_compile() {
-    let dir = scratch("programs");
-    let contract = compile(
-        &[
-            spec("transfer(address,uint256)"),
-            spec("approve(address,uint256)"),
-        ],
-        &CompilerConfig::default(),
-    );
-    let cold = {
-        let sigrec = SigRec::new()
-            .with_cache(RecoveryCache::persistent(
-                PersistentStore::open(&dir).unwrap(),
-            ))
-            .with_exec_stats();
-        let outcome = sigrec.recover_with_outcome(&contract.code);
-        let store = sigrec.store_stats().unwrap();
-        assert_eq!(
-            store.programs_appended, 1,
-            "cold seal persists the compiled program"
-        );
-        assert_eq!(
-            store.program_misses, 1,
-            "cold run probes the program tier once"
-        );
-        sigrec.flush_store().unwrap();
-        outcome
-    };
-
-    let sigrec = SigRec::new()
-        .with_cache(RecoveryCache::persistent(
-            PersistentStore::open(&dir).unwrap(),
-        ))
-        .with_exec_stats();
-    let warm = sigrec.recover_with_outcome(&contract.code);
-    assert_same(&cold.functions, &warm.functions);
-    let store = sigrec.store_stats().unwrap();
-    assert_eq!(store.program_hits, 1, "program served from its record");
-    assert_eq!(store.program_misses, 0);
-    assert_eq!(store.program_stale, 0);
-    assert_eq!(
-        store.programs_appended, 0,
-        "nothing recompiled or rewritten"
-    );
-    assert_eq!(
-        sigrec.exec_stats().unwrap().compile_time,
-        Duration::ZERO,
-        "warm restart must skip the compile phase entirely"
-    );
-    std::fs::remove_dir_all(&dir).unwrap();
-}
-
-/// A crash that tears the segment mid-program-record costs exactly that
-/// program: the contract record beside it still serves, the program
-/// lookup degrades to a miss (never wrong decoded data), and recovery
-/// results stay byte-identical.
-#[test]
-fn torn_program_record_degrades_to_a_miss_never_wrong_data() {
-    let template = scratch("torn-prog-template");
-    let contract = compile(
-        &[spec("transfer(address,uint256)")],
-        &CompilerConfig::default(),
-    );
-    let key = keccak256(&contract.code);
-    let cold = {
-        let sigrec = SigRec::new().with_cache(RecoveryCache::persistent(
-            PersistentStore::open(&template).unwrap(),
-        ));
-        let outcome = sigrec.recover_with_outcome(&contract.code);
-        sigrec.flush_store().unwrap();
-        outcome
-    };
-    let seg_path = template.join("seg-00000.sigseg");
-    let segment = std::fs::read(&seg_path).unwrap();
-    let (last_start, last_end) = last_record_span(&segment);
-    assert_eq!(
-        segment[last_start + 44],
-        sigrec_core::store::PROGRAM_PAYLOAD_TAG,
-        "seal writes the program record after the contract record"
-    );
-
-    // Tear inside the framing, early in the payload, and one byte short
-    // of complete.
-    for cut in [
-        last_start + 1,
-        last_start + 40,
-        last_start + (last_end - last_start) / 2,
-        last_end - 1,
-    ] {
-        let dir = scratch("torn-prog-cut");
-        copy_store(&template, &dir);
-        let f = std::fs::OpenOptions::new()
-            .write(true)
-            .open(dir.join("seg-00000.sigseg"))
-            .unwrap();
-        f.set_len(cut as u64).unwrap();
-        drop(f);
-
-        let store = PersistentStore::open(&dir).unwrap();
-        assert!(
-            store.lookup(&key).is_some(),
-            "cut {cut}: contract record lost"
-        );
-        assert!(
-            matches!(store.lookup_program(&key), sigrec_core::ProgramLookup::Miss),
-            "cut {cut}: torn program must read as a miss"
-        );
-        let sigrec = SigRec::new().with_cache(RecoveryCache::persistent(store));
-        let warm = sigrec.recover_with_outcome(&contract.code);
-        assert_same(&cold.functions, &warm.functions);
-        // Two disk hits: the manual probe above and the warm recovery.
-        assert_eq!(sigrec.store_stats().unwrap().disk_hits, 2, "cut {cut}");
-        std::fs::remove_dir_all(&dir).unwrap();
+/// One index section in the older two-section (`SIGRECI2`) layout:
+/// entry count, then key-sorted `key | segment | offset | len` entries.
+fn legacy_index_section(out: &mut Vec<u8>, mut entries: Vec<([u8; 32], usize, usize)>) {
+    entries.sort_unstable_by_key(|e| e.0);
+    out.extend_from_slice(&(entries.len() as u64).to_le_bytes());
+    for (key, start, end) in entries {
+        out.extend_from_slice(&key);
+        out.extend_from_slice(&0u32.to_le_bytes());
+        out.extend_from_slice(&(start as u64).to_le_bytes());
+        out.extend_from_slice(&((end - start) as u32).to_le_bytes());
     }
-    std::fs::remove_dir_all(&template).unwrap();
 }
 
-/// A persisted program from a *future* (or past) format version is
-/// reported stale, recompiled from the bytecode — never misdecoded —
-/// and rewritten in the current format so the next open reads it back.
+/// A store written by the build that persisted compiled programs — a
+/// `SIGRECI2` index with a program section, and program records (payload
+/// tag 0x50) beside the contract records — opens through the index
+/// rebuild and serves every contract byte-identical. Its program records
+/// are skipped: never served, never counted corrupt, never rewritten.
 #[test]
-fn stale_program_version_recompiles_and_rewrites() {
-    let dir = scratch("stale-program");
-    let contract = compile(
-        &[spec("transfer(address,uint256)")],
-        &CompilerConfig::default(),
-    );
-    let key = keccak256(&contract.code);
-    {
+fn legacy_program_records_are_skipped_on_open() {
+    let dir = scratch("legacy");
+    let config = CompilerConfig::default();
+    let codes: Vec<Vec<u8>> = [
+        vec![spec("transfer(address,uint256)")],
+        vec![spec("setBytes(bytes)"), spec("pairs(uint64[2][])")],
+        vec![spec("mint(address,uint128)")],
+    ]
+    .iter()
+    .map(|specs| compile(specs, &config).code)
+    .collect();
+    let cold: Vec<_> = {
         let sigrec = SigRec::new().with_cache(RecoveryCache::persistent(
             PersistentStore::open(&dir).unwrap(),
         ));
-        let _ = sigrec.recover_with_outcome(&contract.code);
+        let outcomes = codes
+            .iter()
+            .map(|c| sigrec.recover_with_outcome(c))
+            .collect();
         sigrec.flush_store().unwrap();
-    }
+        outcomes
+    };
 
-    // Byte surgery: bump the persisted program's format version and
-    // re-frame the record so only the version check can reject it.
+    // Append a hand-built program record after every contract record's
+    // key, plus one for a key with no contract record.
     let seg_path = dir.join("seg-00000.sigseg");
     let mut segment = std::fs::read(&seg_path).unwrap();
-    let (last_start, last_end) = last_record_span(&segment);
-    assert_eq!(
-        segment[last_start + 44],
-        sigrec_core::store::PROGRAM_PAYLOAD_TAG
-    );
-    let version = u16::from_le_bytes(
-        segment[last_start + 45..last_start + 47]
-            .try_into()
-            .unwrap(),
-    );
-    assert_eq!(version, sigrec_core::store::PROGRAM_FORMAT_VERSION);
-    segment[last_start + 45..last_start + 47].copy_from_slice(&(version + 1).to_le_bytes());
-    let sum = record_checksum(&key, &segment[last_start + 44..last_end]);
-    segment[last_start + 36..last_start + 44].copy_from_slice(&sum.to_le_bytes());
+    let contracts: Vec<([u8; 32], usize, usize)> = record_spans(&segment)
+        .into_iter()
+        .map(|(start, end)| (segment[start..start + 32].try_into().unwrap(), start, end))
+        .collect();
+    assert_eq!(contracts.len(), codes.len());
+    let program_keys: Vec<[u8; 32]> = contracts.iter().map(|c| c.0).chain([[0xee; 32]]).collect();
+    let mut programs = Vec::new();
+    for key in program_keys {
+        // Tag 0x50, format version 1, then an opaque program body.
+        let mut payload = vec![0x50, 1, 0];
+        payload.extend_from_slice(&[0xab; 61]);
+        let start = segment.len();
+        segment.extend_from_slice(&key);
+        segment.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        segment.extend_from_slice(&record_checksum(&key, &payload).to_le_bytes());
+        segment.extend_from_slice(&payload);
+        programs.push((key, start, segment.len()));
+    }
     std::fs::write(&seg_path, &segment).unwrap();
+    // The old index describes this exact layout, program section included.
+    let mut index = b"SIGRECI2".to_vec();
+    index.extend_from_slice(&1u32.to_le_bytes());
+    index.extend_from_slice(&0u32.to_le_bytes());
+    index.extend_from_slice(&(segment.len() as u64).to_le_bytes());
+    legacy_index_section(&mut index, contracts);
+    legacy_index_section(&mut index, programs);
+    std::fs::write(dir.join("index.flat"), &index).unwrap();
 
-    // `explain` re-runs TASE without reading the contract entry, so it
-    // reaches the program tier and hits the stale record.
-    let sigrec = SigRec::new().with_cache(RecoveryCache::persistent(
-        PersistentStore::open(&dir).unwrap(),
-    ));
-    let explained = sigrec.explain(&contract.code);
-    assert_eq!(explained.len(), 1);
-    let stats = sigrec.store_stats().unwrap();
-    assert_eq!(stats.program_stale, 1, "version mismatch must report stale");
-    assert_eq!(stats.corrupt_records, 0, "stale is not corruption");
-    assert_eq!(
-        stats.programs_appended, 1,
-        "stale program rewritten in the current format"
-    );
-    sigrec.flush_store().unwrap();
-
-    // The rewrite shadows the stale record: the next open serves the
-    // current-format program.
     let store = PersistentStore::open(&dir).unwrap();
-    assert!(matches!(
-        store.lookup_program(&key),
-        sigrec_core::ProgramLookup::Hit(_)
-    ));
-    assert_eq!(store.stats().program_hits, 1);
+    assert_eq!(store.open_diagnostics(), [StoreDiagnostic::StaleIndex]);
+    let stats = store.stats();
+    assert_eq!(stats.index_rebuilds, 1);
+    assert_eq!(
+        stats.corrupt_records, 0,
+        "program records are not corruption"
+    );
+    assert_eq!(store.contract_count(), codes.len());
+    assert!(
+        store.lookup(&[0xee; 32]).is_none(),
+        "a program is never served"
+    );
+    let sigrec = SigRec::new().with_cache(RecoveryCache::persistent(store));
+    for (code, cold) in codes.iter().zip(&cold) {
+        let warm = sigrec.recover_with_outcome(code);
+        assert_same(&cold.functions, &warm.functions);
+        assert_eq!(cold.diagnostics, warm.diagnostics);
+    }
+    let stats = sigrec.store_stats().unwrap();
+    assert_eq!(stats.disk_hits as usize, codes.len());
+    assert_eq!(stats.records_appended, 0);
+    sigrec.flush_store().unwrap();
+    assert_eq!(
+        std::fs::read(&seg_path).unwrap(),
+        segment,
+        "the segment, program records included, is never rewritten"
+    );
+    // The rewritten single-section index is trusted on the next open.
+    let store = PersistentStore::open(&dir).unwrap();
+    assert!(store.open_diagnostics().is_empty());
+    assert_eq!(store.contract_count(), codes.len());
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -463,46 +463,6 @@ impl Program {
         }
     }
 
-    /// Reassembles a program from persisted parts (the store's decoded
-    /// segment payload). The `pc → step` table is rebuilt in O(steps)
-    /// instead of being persisted. Returns `None` when the parts are
-    /// inconsistent — out-of-range pcs or block ids, or a mask/bounds
-    /// mismatch — so a corrupt-but-checksum-colliding payload can never
-    /// produce a program that indexes out of bounds.
-    pub fn from_parts(
-        steps: Vec<Step>,
-        blocks: Vec<BlockInfo>,
-        code_len: usize,
-        loop_exits: Vec<(usize, usize)>,
-        compiled: Vec<bool>,
-    ) -> Option<Program> {
-        if compiled.len() != blocks.len() {
-            return None;
-        }
-        for b in &blocks {
-            let first = b.first_step as usize;
-            if first + b.len as usize > steps.len() {
-                return None;
-            }
-        }
-        let mut pc_to_step = vec![NO_STEP; code_len];
-        for (i, s) in steps.iter().enumerate() {
-            let slot = pc_to_step.get_mut(s.pc)?;
-            if *slot != NO_STEP || (s.block as usize) >= blocks.len() {
-                return None;
-            }
-            *slot = i as u32;
-        }
-        Some(Program {
-            steps,
-            blocks,
-            pc_to_step,
-            code_len,
-            loop_exits,
-            compiled,
-        })
-    }
-
     /// The step starting at `pc`, or `None` for non-instruction bytes
     /// (inside a push immediate, or past the end of code). O(1).
     #[inline]
@@ -583,11 +543,6 @@ impl Program {
     /// Number of blocks left as placeholders by lazy compilation.
     pub fn uncompiled_block_count(&self) -> usize {
         self.compiled.len() - self.compiled_block_count()
-    }
-
-    /// The per-block compile mask, indexed by block id (for persistence).
-    pub fn compiled_mask(&self) -> &[bool] {
-        &self.compiled
     }
 }
 
@@ -820,63 +775,5 @@ mod tests {
         assert!(p.block_compiled(1));
         let p = Program::compile_reachable(&Disassembly::new(&code), &[]);
         assert!(!p.block_compiled(1));
-    }
-
-    #[test]
-    fn from_parts_round_trips_a_compiled_program() {
-        let code = [
-            0x60, 0x06, 0x57, 0x60, 0x00, 0x00, 0x5b, 0x60, 0x04, 0x35, 0x80, 0x81, 0x90, 0x00,
-        ];
-        let p = Program::compile_reachable(&Disassembly::new(&code), &[6]);
-        let q = Program::from_parts(
-            p.steps().to_vec(),
-            p.blocks().to_vec(),
-            p.code_len(),
-            p.loop_exits().to_vec(),
-            p.compiled_mask().to_vec(),
-        )
-        .expect("parts are consistent");
-        assert_eq!(q.steps(), p.steps());
-        assert_eq!(q.blocks(), p.blocks());
-        assert_eq!(q.code_len(), p.code_len());
-        assert_eq!(q.loop_exits(), p.loop_exits());
-        assert_eq!(q.compiled_mask(), p.compiled_mask());
-        // The rebuilt pc → step table answers identically at every byte.
-        for pc in 0..=code.len() {
-            assert_eq!(q.step_index(pc), p.step_index(pc));
-            assert_eq!(q.is_jumpdest(pc), p.is_jumpdest(pc));
-            assert_eq!(q.block_of(pc), p.block_of(pc));
-        }
-    }
-
-    #[test]
-    fn from_parts_rejects_inconsistent_parts() {
-        let p = compile(&[0x60, 0x04, 0x56, 0x00, 0x5b, 0x00]);
-        let parts = |f: &dyn Fn(&mut Vec<Step>, &mut Vec<bool>)| {
-            let mut steps = p.steps().to_vec();
-            let mut mask = p.compiled_mask().to_vec();
-            f(&mut steps, &mut mask);
-            Program::from_parts(steps, p.blocks().to_vec(), p.code_len(), Vec::new(), mask)
-        };
-        assert!(parts(&|_, _| {}).is_some());
-        // Mask length must match the block count.
-        assert!(parts(&|_, m| m.push(true)).is_none());
-        // A step pc outside the code rebuilds no table slot.
-        assert!(parts(&|s, _| s[0].pc = 99).is_none());
-        // Two steps at one pc can't both own the slot.
-        assert!(parts(&|s, _| s[1].pc = s[0].pc).is_none());
-        // Block ids must index the block table.
-        assert!(parts(&|s, _| s[0].block = 77).is_none());
-        // A block spanning past the step array is rejected.
-        let mut blocks = p.blocks().to_vec();
-        blocks[0].len = 99;
-        assert!(Program::from_parts(
-            p.steps().to_vec(),
-            blocks,
-            p.code_len(),
-            Vec::new(),
-            p.compiled_mask().to_vec(),
-        )
-        .is_none());
     }
 }

@@ -7,10 +7,9 @@
 //! 1. **No panic** — every path on every case completes or is caught as a
 //!    violation, never unwinds.
 //! 2. **Path agreement** — under purely deterministic budgets all
-//!    twenty-three pipeline paths (cold/warm/batch × execution engines ×
-//!    fork modes, plus the persistent-store cold/warm-restart pair and
-//!    the decoded persisted-program path) produce the same structural
-//!    digest, truncated or not, plus a
+//!    twenty-two pipeline paths (cold/warm/batch × execution engines ×
+//!    fork modes, plus the persistent-store cold/warm-restart pair)
+//!    produce the same structural digest, truncated or not, plus a
 //!    further check that a warm [`SigRec::recover_with_outcome`]
 //!    replays the cold outcome's diagnostics exactly, plus a final
 //!    check that the per-rule inference reference recovers the same
@@ -436,14 +435,13 @@ mod tests {
         });
         assert_eq!(report.cases, 20);
         assert!(report.is_green(), "{}", report.summary());
-        // 25 paths per case (engines × fork modes × pipeline paths, the
-        // persistent-store cold/warm-restart pair and decoded
-        // persisted-program path, plus the warm-outcome replay and the
-        // per-rule inference cross-check), plus one extra
+        // 24 paths per case (engines × fork modes × pipeline paths, the
+        // persistent-store cold/warm-restart pair, plus the warm-outcome
+        // replay and the per-rule inference cross-check), plus one extra
         // linked-resolution path per cyclic-routing case and one
         // tail-less comparison per factory-child case (two of each in
         // two full rounds of the ten kinds).
-        assert_eq!(report.paths_checked, 20 * 25 + 2 + 2);
+        assert_eq!(report.paths_checked, 20 * 24 + 2 + 2);
         // The corpus contains engineered truncations; at least the two
         // DeepLoop cases must have been cut by budgets.
         assert!(report.truncated_cases >= 2, "{}", report.summary());
