@@ -11,7 +11,7 @@
 //! every run recovers identical signatures, and reports contracts/s,
 //! per-point contract-latency tails (p50/p90/p99/max from the
 //! scheduler's log-bucketed histogram) and steal/park counters, executor
-//! fork-cost stats (CoW vs eager-clone forking), a compile/explore/infer
+//! step/path/fork counters, a compile/explore/infer
 //! phase breakdown (with the inference phase further split into
 //! index/match/refine sub-phases and the per-rule attribution reported
 //! *exclusively* — shared index/dispatch time in its own bucket, so the
@@ -27,7 +27,7 @@ use crate::accuracy::Scale;
 use crate::report::TextTable;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sigrec_core::exec::{ExecEngine, ForkMode};
+use sigrec_core::exec::ExecEngine;
 use sigrec_core::{
     recover_batch, recover_batch_naive, BatchResult, InferEngine, SigRec, TaseConfig,
 };
@@ -297,21 +297,6 @@ fn infer_probe(codes: &[Vec<u8>]) -> InferProbe {
     probe
 }
 
-/// Re-explores every distinct template cold under `mode` with profiling
-/// on, returning (forks, units copied by those forks).
-fn fork_cost_probe(distinct: &[Vec<u8>], mode: ForkMode) -> (u64, u64) {
-    let config = TaseConfig {
-        fork_mode: mode,
-        ..TaseConfig::default()
-    };
-    let rec = SigRec::with_config(config).with_exec_stats();
-    for code in distinct {
-        let _ = rec.recover_cold(code);
-    }
-    let stats = rec.exec_stats().expect("profiling enabled");
-    (stats.exec.forks, stats.exec.fork_units_copied)
-}
-
 /// The throughput experiment: naive vs dedup-aware batch recovery over a
 /// duplicated corpus, swept over worker counts. Returns the text report
 /// and writes `BENCH_throughput.json`.
@@ -403,12 +388,6 @@ pub fn throughput(scale: &Scale) -> String {
     // Inference contrast: the same corpus, single worker, compiled tree
     // matcher vs per-rule reference (also an engine-agreement CI gate).
     let inf_probe = infer_probe(&codes);
-
-    // Fork-cost contrast: same distinct templates, CoW vs eager cloning.
-    let (cow_forks, cow_units) = fork_cost_probe(&distinct, ForkMode::CopyOnWrite);
-    let (eager_forks, eager_units) = fork_cost_probe(&distinct, ForkMode::EagerClone);
-    let cow_per_fork = cow_units as f64 / (cow_forks.max(1)) as f64;
-    let eager_per_fork = eager_units as f64 / (eager_forks.max(1)) as f64;
 
     // True cold per-function recovery latencies, from the naive run (the
     // dedup run only measures each distinct function once).
@@ -511,14 +490,13 @@ pub fn throughput(scale: &Scale) -> String {
     json.push_str("  ],\n");
     json.push_str(&format!(
         "  \"exec\": {{ \"steps\": {}, \"paths\": {}, \"forks\": {}, \
-         \"fork_units_copied\": {}, \"worklist_peak\": {}, \
+         \"worklist_peak\": {}, \
          \"worklist_contention\": {}, \"steals\": {}, \"steal_failures\": {}, \
          \"functions_explored\": {}, \
          \"tase_ms\": {:.2}, \"infer_ms\": {:.2} }},\n",
         profile.exec.steps,
         profile.exec.paths,
         profile.exec.forks,
-        profile.exec.fork_units_copied,
         profile.exec.worklist_peak,
         profile.exec.worklist_contention,
         profile.exec.steals,
@@ -551,13 +529,6 @@ pub fn throughput(scale: &Scale) -> String {
         probe.instr_tase * 1e3,
         probe.tase_speedup(),
         probe.block_compile * 1e3,
-    ));
-    json.push_str(&format!(
-        "  \"fork_cost\": {{ \"cow_units_per_fork\": {:.2}, \
-         \"eager_units_per_fork\": {:.2}, \"reduction\": {:.2} }},\n",
-        cow_per_fork,
-        eager_per_fork,
-        eager_per_fork / cow_per_fork.max(1e-9),
     ));
     json.push_str(&format!(
         "  \"tree_vs_perrule\": {{ \"tree_seconds\": {:.4}, \
@@ -671,11 +642,6 @@ pub fn throughput(scale: &Scale) -> String {
         "fn-cache hit rate".into(),
         "—".into(),
         crate::report::pct(cache.function_hit_rate()),
-    ]);
-    t.row(&[
-        "fork units/fork".into(),
-        format!("{eager_per_fork:.1} (eager)"),
-        format!("{cow_per_fork:.1} (CoW)"),
     ]);
     t.row(&[
         "engine TASE speedup".into(),

@@ -7,8 +7,8 @@
 //! 1. **Differential**: for one bytecode, every execution path through the
 //!    pipeline — [`SigRec::recover`] cold and warm, `recover_cold`,
 //!    [`recover_batch`] and [`recover_batch_naive`], under both
-//!    execution engines and both [`ForkMode`]s, plus a cold recovery
-//!    under the *other* [`InferEngine`] (tree vs per-rule matcher), plus
+//!    execution engines, plus a cold recovery under the *other*
+//!    [`InferEngine`] (tree vs per-rule matcher), plus
 //!    a cache shared across variants and a whole-corpus batch — must
 //!    recover a structurally identical result.
 //! 2. **Metamorphic**: a [`Transform`] re-emits the same source under a
@@ -28,7 +28,7 @@
 
 #![warn(missing_docs)]
 
-use sigrec_core::exec::{ExecEngine, ForkMode};
+use sigrec_core::exec::ExecEngine;
 use sigrec_core::{
     recover_batch, recover_batch_naive, Diagnostic, InferEngine, PersistentStore,
     RecoveredFunction, RecoveryCache, RuleId, RuleStats, SigRec, TaseConfig,
@@ -68,7 +68,8 @@ pub struct Minimized {
 /// The outcome of checking one `(source, transform)` case.
 #[derive(Clone, Debug)]
 pub struct CaseOutcome {
-    /// Reference recovery of the transformed bytecode (cold, CoW).
+    /// Reference recovery of the transformed bytecode (cold, default
+    /// configuration).
     pub functions: Vec<RecoveredFunction>,
     /// Execution paths compared.
     pub paths: usize,
@@ -327,7 +328,7 @@ pub fn set_digest(functions: &[RecoveredFunction]) -> Vec<String> {
 }
 
 /// The reference recovery all paths are diffed against: a cold run with
-/// the default (copy-on-write) configuration and no cache.
+/// the default configuration and no cache.
 pub fn recover_reference(code: &[u8]) -> Vec<RecoveredFunction> {
     recover_reference_with(code, InferEngine::default())
 }
@@ -371,45 +372,37 @@ fn persist_scratch() -> std::path::PathBuf {
 
 /// Every per-bytecode execution path, as `(name, recovery)` pairs: the
 /// five pipeline paths (cold, first/warm recover, dedup and naive batch)
-/// under both execution engines crossed with both fork modes, plus the
-/// persistent-store pair (recover through a store-backed cache, then
-/// again across a simulated process restart over the warm store) —
-/// twenty-two in total, with every budget knob other than
-/// `exec_engine` and `fork_mode` taken from `base`. Public so the
-/// adversarial fuzz campaign can re-run the exact same paths under
-/// tightened budgets.
+/// under both execution engines, plus the persistent-store pair (recover
+/// through a store-backed cache, then again across a simulated process
+/// restart over the warm store) — twelve in total, with every budget knob
+/// other than `exec_engine` taken from `base`. Public so the adversarial
+/// fuzz campaign can re-run the exact same paths under tightened budgets.
 pub fn execution_paths(base: &TaseConfig, code: &[u8]) -> Vec<(String, Vec<RecoveredFunction>)> {
     let mut out = Vec::new();
-    for (engine, etag) in [(ExecEngine::Block, "block"), (ExecEngine::Instr, "instr")] {
-        for (mode, tag) in [
-            (ForkMode::CopyOnWrite, "cow"),
-            (ForkMode::EagerClone, "eager"),
-        ] {
-            let cfg = TaseConfig {
-                exec_engine: engine,
-                fork_mode: mode,
-                ..*base
-            };
-            out.push((
-                format!("recover-cold[{etag},{tag}]"),
-                SigRec::with_config(cfg).recover_cold(code),
-            ));
-            let warm = SigRec::with_config(cfg);
-            out.push((format!("recover-first[{etag},{tag}]"), warm.recover(code)));
-            out.push((format!("recover-warm[{etag},{tag}]"), warm.recover(code)));
-            let batch = recover_batch(&SigRec::with_config(cfg), &[code.to_vec()], 2);
-            out.push((
-                format!("batch-dedup[{etag},{tag}]"),
-                batch.items[0].functions.as_ref().clone(),
-            ));
-            let naive = recover_batch_naive(&SigRec::with_config(cfg), &[code.to_vec()], 2);
-            out.push((
-                format!("batch-naive[{etag},{tag}]"),
-                naive.items[0].functions.as_ref().clone(),
-            ));
-        }
+    for (engine, tag) in [(ExecEngine::Block, "block"), (ExecEngine::Instr, "instr")] {
+        let cfg = TaseConfig {
+            exec_engine: engine,
+            ..*base
+        };
+        out.push((
+            format!("recover-cold[{tag}]"),
+            SigRec::with_config(cfg).recover_cold(code),
+        ));
+        let warm = SigRec::with_config(cfg);
+        out.push((format!("recover-first[{tag}]"), warm.recover(code)));
+        out.push((format!("recover-warm[{tag}]"), warm.recover(code)));
+        let batch = recover_batch(&SigRec::with_config(cfg), &[code.to_vec()], 2);
+        out.push((
+            format!("batch-dedup[{tag}]"),
+            batch.items[0].functions.as_ref().clone(),
+        ));
+        let naive = recover_batch_naive(&SigRec::with_config(cfg), &[code.to_vec()], 2);
+        out.push((
+            format!("batch-naive[{tag}]"),
+            naive.items[0].functions.as_ref().clone(),
+        ));
     }
-    // Persistent-store pair: the disk tier sits beneath the engine/fork
+    // Persistent-store pair: the disk tier sits beneath the engine
     // sweep, so one round trip under `base`'s own knobs suffices. The
     // warm-restart path proves a record written by the cold path decodes
     // to the byte-identical structural digest in a fresh "process"
@@ -431,11 +424,10 @@ pub fn execution_paths(base: &TaseConfig, code: &[u8]) -> Vec<(String, Vec<Recov
 }
 
 /// Number of comparisons [`find_mismatch`] performs per case: five paths
-/// under two execution engines crossed with two fork modes, plus the
-/// persistent-store cold/warm-restart pair, plus one cold recovery under
-/// the *other* inference engine, plus the cross-variant metamorphic
-/// relation.
-pub const PATHS_PER_CASE: usize = 24;
+/// under two execution engines, plus the persistent-store
+/// cold/warm-restart pair, plus one cold recovery under the *other*
+/// inference engine, plus the cross-variant metamorphic relation.
+pub const PATHS_PER_CASE: usize = 14;
 
 /// The other inference engine — the one a case's cross-engine path runs.
 fn other_engine(engine: InferEngine) -> InferEngine {
@@ -461,7 +453,7 @@ pub fn find_mismatch(
 
 /// Like [`find_mismatch`] but under an explicit base configuration: every
 /// checked path inherits all of `base`'s budget and feature knobs, with
-/// only `exec_engine`/`fork_mode`/`infer_engine` swept. This is what the
+/// only `exec_engine`/`infer_engine` swept. This is what the
 /// oracle meta-tests use to prove the harness *would* catch a divergence
 /// (e.g. the hidden `disagree_on_selector` fault-injection knob).
 pub fn find_mismatch_with(
@@ -850,7 +842,7 @@ mod tests {
     /// The block-compiled engine must be observationally identical to the
     /// per-instruction reference — signatures *and* diagnostics — on the
     /// targeted conformance corpus and on adversarial bytecode, under
-    /// both fork modes and tight deterministic budgets.
+    /// tight deterministic budgets.
     #[test]
     fn engines_agree_on_conformance_and_adversarial_corpora() {
         use sigrec_corpus::adversarial::adversarial_cases;
@@ -870,29 +862,22 @@ mod tests {
                 .map(|c| c.code),
         );
         for code in &codes {
-            for mode in [ForkMode::CopyOnWrite, ForkMode::EagerClone] {
-                let block = SigRec::with_config(TaseConfig {
-                    exec_engine: ExecEngine::Block,
-                    fork_mode: mode,
-                    ..tight
-                })
-                .recover_cold_with_outcome(code);
-                let instr = SigRec::with_config(TaseConfig {
-                    exec_engine: ExecEngine::Instr,
-                    fork_mode: mode,
-                    ..tight
-                })
-                .recover_cold_with_outcome(code);
-                assert_eq!(
-                    path_digest(&block.functions),
-                    path_digest(&instr.functions),
-                    "signatures diverge under {mode:?}"
-                );
-                assert_eq!(
-                    block.diagnostics, instr.diagnostics,
-                    "diagnostics diverge under {mode:?}"
-                );
-            }
+            let block = SigRec::with_config(TaseConfig {
+                exec_engine: ExecEngine::Block,
+                ..tight
+            })
+            .recover_cold_with_outcome(code);
+            let instr = SigRec::with_config(TaseConfig {
+                exec_engine: ExecEngine::Instr,
+                ..tight
+            })
+            .recover_cold_with_outcome(code);
+            assert_eq!(
+                path_digest(&block.functions),
+                path_digest(&instr.functions),
+                "signatures diverge"
+            );
+            assert_eq!(block.diagnostics, instr.diagnostics, "diagnostics diverge");
             // Same bar for the inference engines: under tight budgets the
             // facts are truncated, and the tree matcher must still emit
             // the identical digest (rule lists included) and diagnostics.
@@ -953,7 +938,7 @@ mod tests {
 
     /// Oracle meta-test: plant the hidden fault-injection knob
     /// (`TaseConfig::disagree_on_selector` appends a phantom parameter
-    /// under `ForkMode::EagerClone` only) and prove the 11-path
+    /// under `ExecEngine::Instr` only) and prove the 14-path
     /// differential oracle actually catches an engine disagreement and
     /// ddmin shrinks it to a tiny reproducer. Guards against the harness
     /// degenerating into comparing a path with itself.
@@ -970,8 +955,8 @@ mod tests {
             .mismatch
             .expect("the oracle must catch the planted disagreement");
         assert!(
-            m.path.contains("eager"),
-            "disagreement fires only under EagerClone, caught on {}",
+            m.path.contains("instr"),
+            "disagreement fires only under ExecEngine::Instr, caught on {}",
             m.path
         );
         assert!(m.detail.contains("bool"), "{}", m.detail);

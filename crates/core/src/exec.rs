@@ -5,8 +5,9 @@
 //! symbol, and stops a path when a jump target depends on the input. On the
 //! way it gathers the [`FunctionFacts`] the rules consume.
 //!
-//! Loop discipline: symbolic branch conditions fork the path, but each block
-//! forks at most a few times, after which the executor takes the
+//! Loop discipline: symbolic branch conditions fork the path (a plain
+//! `clone()` of its stack, memory journal and visit counters), but each
+//! block forks at most a few times, after which the executor takes the
 //! larger-target branch (compilers place loop exits after bodies, so this
 //! exits loops). Concrete conditions never fork; runaway concrete loops are
 //! cut by a per-block visit cap. Loop *heads* are detected statically (a
@@ -14,7 +15,6 @@
 //! lets the inference engine scope loop bounds to the facts inside the loop
 //! body by pc range.
 
-use crate::cow::CowStack;
 use crate::expr::{bin, un, BinOp, Expr, ExprKind, UnOp};
 use crate::facts::{CopyFact, FunctionFacts, GuardFact, LoadFact, Usage, UseFact};
 use crate::infer::InferEngine;
@@ -48,19 +48,6 @@ impl std::hash::Hasher for PcHasher {
 /// A pc-keyed hash map with the cheap [`PcHasher`].
 type PcMap<V> = HashMap<usize, V, std::hash::BuildHasherDefault<PcHasher>>;
 
-/// How a symbolic branch duplicates the path state.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ForkMode {
-    /// Freeze the mutable tails and share the frozen prefix: O(tail)
-    /// per fork, independent of total stack depth / journal length.
-    #[default]
-    CopyOnWrite,
-    /// Flat deep copy of stack and journal (the pre-CoW behaviour),
-    /// O(stack + writes) per fork. Kept as the reference implementation
-    /// the equivalence tests compare against.
-    EagerClone,
-}
-
 /// Which interpreter the executor steps paths with.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum ExecEngine {
@@ -92,14 +79,11 @@ pub struct TaseConfig {
     pub fork_limit_per_block: u32,
     /// How many times one block may be entered per path (concrete loops).
     pub block_visit_limit: u32,
-    /// How forks duplicate path state.
-    pub fork_mode: ForkMode,
     /// Which interpreter steps the paths.
     pub exec_engine: ExecEngine,
     /// Which matcher runs the R1–R31 rules over the gathered facts.
     pub infer_engine: InferEngine,
-    /// Collect per-fork [`ExecStats`] counters (off by default: the
-    /// fork-cost probes are skipped entirely when disabled).
+    /// Collect the per-fork [`ExecStats`] counters (off by default).
     pub collect_stats: bool,
     /// Per-contract wall-clock budget. The pipeline stamps a deadline
     /// when it plans a contract and every function exploration checks it
@@ -116,7 +100,7 @@ pub struct TaseConfig {
     pub panic_on_selector: Option<u32>,
     /// Test-only fault injection: the pipeline appends a phantom `bool`
     /// parameter to the function whose selector matches, but only under
-    /// [`ForkMode::EagerClone`] — a deliberate engine disagreement for
+    /// [`ExecEngine::Instr`] — a deliberate engine disagreement for
     /// proving the differential oracle actually catches one. `None` (the
     /// default) injects nothing.
     #[doc(hidden)]
@@ -136,7 +120,6 @@ impl Default for TaseConfig {
             max_total_steps: 400_000,
             fork_limit_per_block: 3,
             block_visit_limit: 600,
-            fork_mode: ForkMode::CopyOnWrite,
             exec_engine: ExecEngine::Block,
             infer_engine: InferEngine::Tree,
             collect_stats: false,
@@ -150,8 +133,8 @@ impl Default for TaseConfig {
 /// Executor counters for one `explore` call.
 ///
 /// `steps` and `paths` fall out of the budget accounting and are always
-/// exact; the fork-cost fields are only collected when
-/// [`TaseConfig::collect_stats`] is set (they cost a probe per fork).
+/// exact; `forks` and `worklist_peak` are only collected when
+/// [`TaseConfig::collect_stats`] is set.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ExecStats {
     /// Instructions executed across all paths.
@@ -160,10 +143,6 @@ pub struct ExecStats {
     pub paths: u64,
     /// Symbolic-branch forks taken.
     pub forks: u64,
-    /// Units (stack elements, journal entries, segment handles) actually
-    /// copied by forks — under CoW this stays near `forks × tail`, under
-    /// eager cloning it grows with total path-state size.
-    pub fork_units_copied: u64,
     /// High-water mark of the pending-path worklist.
     pub worklist_peak: u64,
     /// Park events (a worker found every shard drained, registered as a
@@ -188,7 +167,6 @@ impl ExecStats {
         self.steps += other.steps;
         self.paths += other.paths;
         self.forks += other.forks;
-        self.fork_units_copied += other.fork_units_copied;
         self.worklist_peak = self.worklist_peak.max(other.worklist_peak);
         self.worklist_contention += other.worklist_contention;
         self.steals += other.steals;
@@ -197,30 +175,16 @@ impl ExecStats {
     }
 }
 
+/// One path's state. A fork is a plain `clone()`: forks are rare next to
+/// steps (14 k forks against 24 M steps on the heavy benchmark), so the
+/// flat `Vec` stack keeps every step cheap instead of every fork.
+#[derive(Clone)]
 struct PathState {
     pc: usize,
-    stack: CowStack<Rc<Expr>>,
+    stack: Vec<Rc<Expr>>,
     memory: SymMemory,
     visits: PcMap<u32>,
     steps: usize,
-}
-
-impl PathState {
-    /// Duplicates the state for the not-taken branch. CoW shares the
-    /// frozen prefix with `self`; eager cloning flattens both structures.
-    fn fork(&mut self, mode: ForkMode) -> PathState {
-        let (stack, memory) = match mode {
-            ForkMode::CopyOnWrite => (self.stack.fork(), self.memory.fork()),
-            ForkMode::EagerClone => (self.stack.deep_clone(), self.memory.deep_clone()),
-        };
-        PathState {
-            pc: self.pc,
-            stack,
-            memory,
-            visits: self.visits.clone(),
-            steps: self.steps,
-        }
-    }
 }
 
 /// The executor for one contract.
@@ -296,7 +260,7 @@ impl<'a> Tase<'a> {
     }
 
     /// Like [`Tase::explore`], also returning the executor counters
-    /// (fork-cost fields require [`TaseConfig::collect_stats`]).
+    /// (`forks` and `worklist_peak` require [`TaseConfig::collect_stats`]).
     pub fn explore_stats(mut self, entry: usize) -> (FunctionFacts, ExecStats) {
         let program = match self.config.exec_engine {
             ExecEngine::Block => {
@@ -316,7 +280,7 @@ impl<'a> Tase<'a> {
         let residue = self.intern("dispatch-residue");
         let init = PathState {
             pc: entry,
-            stack: CowStack::from_vec(vec![residue]),
+            stack: vec![residue],
             memory: SymMemory::new(),
             visits: PcMap::default(),
             steps: 0,
@@ -549,15 +513,19 @@ impl<'a> Tase<'a> {
                     // Each DUP/SWAP constituent is one byte wide.
                     let pc = step.pc + i;
                     self.bookkeep(st, pc, pc + 1);
+                    // Depths are 1-based, as in the opcodes.
+                    let len = st.stack.len();
+                    let n = (enc & !SHUFFLE_SWAP) as usize;
                     if enc & SHUFFLE_SWAP != 0 {
-                        if !st.stack.swap_top((enc & !SHUFFLE_SWAP) as usize) {
+                        if len <= n {
                             return Flow::End;
                         }
+                        st.stack.swap(len - 1, len - 1 - n);
                     } else {
-                        let Some(v) = st.stack.peek(enc as usize).cloned() else {
+                        if len < n {
                             return Flow::End;
-                        };
-                        st.stack.push(v);
+                        }
+                        st.stack.push(Rc::clone(&st.stack[len - n]));
                     }
                 }
                 Flow::Continue(step.next_pc)
@@ -672,15 +640,18 @@ impl<'a> Tase<'a> {
                 pop!();
             }
             Dup(n) => {
-                let Some(v) = st.stack.peek(n as usize).cloned() else {
-                    return Flow::End;
-                };
-                st.stack.push(v);
-            }
-            Swap(n) => {
-                if !st.stack.swap_top(n as usize) {
+                let (len, n) = (st.stack.len(), n as usize);
+                if len < n {
                     return Flow::End;
                 }
+                st.stack.push(Rc::clone(&st.stack[len - n]));
+            }
+            Swap(n) => {
+                let (len, n) = (st.stack.len(), n as usize);
+                if len <= n {
+                    return Flow::End;
+                }
+                st.stack.swap(len - 1, len - 1 - n);
             }
             JumpDest => {}
             Add | Sub | Mul | Div | SDiv | Mod | SMod | Exp | And | Or | Xor | Lt | Gt | SLt
@@ -938,16 +909,11 @@ impl<'a> Tase<'a> {
                     *forks += 1;
                     if self.config.collect_stats {
                         self.stats.forks += 1;
-                        let units = match self.config.fork_mode {
-                            ForkMode::CopyOnWrite => st.stack.fork_cost() + st.memory.fork_cost(),
-                            ForkMode::EagerClone => st.stack.len() + st.memory.write_count(),
-                        };
-                        self.stats.fork_units_copied += units as u64;
                         self.stats.worklist_peak =
                             self.stats.worklist_peak.max(worklist.len() as u64 + 2);
                     }
                     // Fork: queue the fallthrough, continue with the jump.
-                    let mut other = st.fork(self.config.fork_mode);
+                    let mut other = st.clone();
                     other.pc = next_pc;
                     worklist.push(other);
                     return self.enter_block(st, t);

@@ -24,6 +24,12 @@
 //! The interner lives for the thread and is cleared wholesale when it
 //! exceeds [`INTERNER_CAP`] entries; interned nodes remain valid after a
 //! clear (sharing is an optimisation, never a correctness requirement).
+//!
+//! A hash match alone never merges or equates two nodes: the 64-bit mixer
+//! is invertible, so bytecode can carry two `PUSH32` constants chosen to
+//! collide. An interner hit is confirmed by a shallow O(1) comparison
+//! (children by pointer), and equality confirms the structure whenever
+//! the hashes match but the pointers differ.
 
 use sigrec_evm::U256;
 use std::cell::RefCell;
@@ -98,8 +104,9 @@ pub enum ExprKind {
 /// though its tree expansion is exponential. Every recursive operation here
 /// (containment, walking, evaluation) is DAG-aware — shared nodes are
 /// visited once — keeping deep nested-array analysis linear (the Fig. 18
-/// experiment runs to dimension 20). Equality is by the cached 64-bit
-/// structural hash; see [`Expr::dag_hash`].
+/// experiment runs to dimension 20). Equality is structural: pointer
+/// identity or a cached-hash match confirmed node by node; see
+/// [`Expr::dag_hash`].
 pub struct Expr {
     kind: ExprKind,
     hash: u64,
@@ -206,8 +213,14 @@ fn intern(kind: ExprKind) -> Rc<Expr> {
         let mut cell = t.borrow_mut();
         let t = &mut *cell;
         if let Some(e) = t.table.get(&hash) {
-            t.stats.hits += 1;
-            return Rc::clone(e);
+            if same_node(&kind, e) {
+                t.stats.hits += 1;
+                return Rc::clone(e);
+            }
+            // A hash collision: the slot keeps its node, and this one
+            // lives on uninterned.
+            t.stats.misses += 1;
+            return Rc::new(Expr { kind, hash, flags });
         }
         if t.table.len() >= INTERNER_CAP {
             t.table.clear();
@@ -219,6 +232,55 @@ fn intern(kind: ExprKind) -> Rc<Expr> {
         t.stats.high_water = t.stats.high_water.max(t.table.len() as u64);
         e
     })
+}
+
+/// True if `kind` describes the same node as `e`, comparing children by
+/// pointer — O(1). Interned children are shared, so a structurally equal
+/// twin has pointer-equal children; a false negative after an interner
+/// clear only costs sharing.
+fn same_node(kind: &ExprKind, e: &Expr) -> bool {
+    use ExprKind::*;
+    match (kind, &e.kind) {
+        (Const(a), Const(b)) => a == b,
+        (CalldataWord(a), CalldataWord(b)) => Rc::ptr_eq(a, b),
+        (CalldataSize, CalldataSize) => true,
+        (FreeSym(a), FreeSym(b)) => a == b,
+        (Unary(o, a), Unary(p, b)) => o == p && Rc::ptr_eq(a, b),
+        (Binary(o, a1, a2), Binary(p, b1, b2)) => {
+            o == p && Rc::ptr_eq(a1, b1) && Rc::ptr_eq(a2, b2)
+        }
+        _ => false,
+    }
+}
+
+/// Full structural equality of two nodes, each pair of nodes compared once
+/// so shared DAGs stay linear. Only reached when the hashes match but the
+/// pointers differ: a twin rebuilt after an interner clear, or a collision.
+fn same_structure(a: &Expr, b: &Expr) -> bool {
+    use ExprKind::*;
+    let mut seen = std::collections::HashSet::new();
+    let mut todo = vec![(a, b)];
+    while let Some((x, y)) = todo.pop() {
+        if std::ptr::eq(x, y) || !seen.insert((x as *const Expr, y as *const Expr)) {
+            continue;
+        }
+        if x.hash != y.hash {
+            return false;
+        }
+        match (&x.kind, &y.kind) {
+            (Const(u), Const(v)) if u == v => {}
+            (CalldataSize, CalldataSize) => {}
+            (FreeSym(i), FreeSym(j)) if i == j => {}
+            (CalldataWord(p), CalldataWord(q)) => todo.push((p, q)),
+            (Unary(o, p), Unary(r, q)) if o == r => todo.push((p, q)),
+            (Binary(o, p1, p2), Binary(r, q1, q2)) if o == r => {
+                todo.push((p1, q1));
+                todo.push((p2, q2));
+            }
+            _ => return false,
+        }
+    }
+    true
 }
 
 /// Structural hash of a node from its children's cached hashes — O(1).
@@ -361,9 +423,10 @@ impl Expr {
     }
 
     /// The 64-bit structural hash, cached at construction. Two structurally
-    /// equal expressions hash equally; collisions between distinct
-    /// expressions are possible in principle (2⁻⁶⁴-ish per pair) and
-    /// accepted — this backs `PartialEq`, `contains`, and `key`.
+    /// equal expressions hash equally; distinct expressions can collide
+    /// (the mixer is invertible), so `PartialEq`, `contains` and the
+    /// interner confirm every match structurally. [`Expr::key`] still keys
+    /// by this hash.
     pub fn dag_hash(&self) -> u64 {
         self.hash
     }
@@ -428,14 +491,13 @@ impl Expr {
         found
     }
 
-    /// True if `needle` occurs as a subexpression (structural equality by
-    /// DAG hash — rule notation `exp(p) ∘ q`). Each distinct node compares
-    /// its cached hash once; no re-hashing.
+    /// True if `needle` occurs as a subexpression (structural equality —
+    /// rule notation `exp(p) ∘ q`). Each distinct node compares its cached
+    /// hash once; only a hash match is confirmed structurally.
     pub fn contains(&self, needle: &Expr) -> bool {
-        let target = needle.hash;
         let mut found = false;
         self.walk(&mut |e| {
-            if e.hash == target {
+            if e == needle {
                 found = true;
             }
         });
@@ -448,35 +510,34 @@ impl Expr {
     /// level" relation, computed in one bottom-up pass over distinct nodes
     /// using the cached hashes.
     pub fn has_load_between(&self, needle: &Expr) -> bool {
-        let target = needle.hash;
         // memo: node address → subtree contains the needle.
-        fn go(e: &Expr, target: u64, memo: &mut HashMap<usize, bool>, bad: &mut bool) -> bool {
+        fn go(e: &Expr, needle: &Expr, memo: &mut HashMap<usize, bool>, bad: &mut bool) -> bool {
             let key = e as *const Expr as usize;
             if let Some(&c) = memo.get(&key) {
                 return c;
             }
             let below = match e.kind() {
                 ExprKind::CalldataWord(loc) => {
-                    let lc = go(loc, target, memo, bad);
-                    if e.hash != target && lc {
+                    let lc = go(loc, needle, memo, bad);
+                    if lc && e != needle {
                         *bad = true;
                     }
                     lc
                 }
                 ExprKind::Const(_) | ExprKind::CalldataSize | ExprKind::FreeSym(_) => false,
-                ExprKind::Unary(_, a) => go(a, target, memo, bad),
+                ExprKind::Unary(_, a) => go(a, needle, memo, bad),
                 ExprKind::Binary(_, a, b) => {
-                    let ac = go(a, target, memo, bad);
-                    let bc = go(b, target, memo, bad);
+                    let ac = go(a, needle, memo, bad);
+                    let bc = go(b, needle, memo, bad);
                     ac || bc
                 }
             };
-            let contains = below || e.hash == target;
+            let contains = below || e == needle;
             memo.insert(key, contains);
             contains
         }
         let mut bad = false;
-        go(self, target, &mut HashMap::new(), &mut bad);
+        go(self, needle, &mut HashMap::new(), &mut bad);
         bad
     }
 
@@ -564,7 +625,7 @@ pub fn apply_binop(op: BinOp, a: U256, b: U256) -> U256 {
 
 impl PartialEq for Expr {
     fn eq(&self, other: &Self) -> bool {
-        std::ptr::eq(self, other) || self.hash == other.hash
+        std::ptr::eq(self, other) || (self.hash == other.hash && same_structure(self, other))
     }
 }
 
@@ -789,6 +850,41 @@ mod tests {
         let c = bin(BinOp::Add, cdw(Expr::c64(4)), Expr::c64(68));
         assert!(!Rc::ptr_eq(&a, &c));
         assert_ne!(a, c);
+    }
+
+    /// The `v` for which `mix(h, v) == out`: `mix` is a bijection in `v`,
+    /// so a colliding input can be solved for directly.
+    fn unmix(h: u64, out: u64) -> u64 {
+        let m: u64 = 0xff51_afd7_ed55_8ccd;
+        // Newton's iteration for the inverse of an odd number mod 2^64.
+        let mut inv = m;
+        for _ in 0..5 {
+            inv = inv.wrapping_mul(2u64.wrapping_sub(m.wrapping_mul(inv)));
+        }
+        let mixed = (out ^ (out >> 33)).wrapping_mul(inv);
+        (mixed ^ h)
+            .wrapping_sub(0x9e37_79b9_7f4a_7c15)
+            .wrapping_sub(h << 6)
+            .wrapping_sub(h >> 2)
+    }
+
+    #[test]
+    fn colliding_constants_stay_distinct() {
+        let first = U256::from_limbs([1, 2, 3, 4]);
+        let a = Expr::constant(first);
+        let x = unmix(mix(mix(mix(1, 7), 8), 9), a.dag_hash());
+        let second = U256::from_limbs([7, 8, 9, x]);
+        let b = Expr::constant(second);
+        assert_eq!(a.dag_hash(), b.dag_hash(), "the pair must collide");
+        assert_eq!(a.as_const(), Some(first));
+        assert_eq!(b.as_const(), Some(second));
+        assert_ne!(a, b);
+        // Parents over the colliding pair collide too, and stay distinct.
+        let pa = Expr::calldata_word(Rc::clone(&a));
+        let pb = Expr::calldata_word(Rc::clone(&b));
+        assert_eq!(pa.dag_hash(), pb.dag_hash());
+        assert_ne!(pa, pb);
+        assert!(!pb.contains(&a));
     }
 
     #[test]

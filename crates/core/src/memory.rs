@@ -7,8 +7,11 @@
 //! of the corresponding source bytes — so masks applied to copied array
 //! elements attribute to exact calldata positions with no separate taint
 //! machinery.
+//!
+//! A path fork clones the memory with the rest of the path state; the
+//! journal is a plain `Vec`, so reads and writes pay nothing for forks
+//! that rarely happen.
 
-use crate::cow::CowJournal;
 use crate::expr::{bin, BinOp, Expr};
 use sigrec_evm::U256;
 use std::rc::Rc;
@@ -30,45 +33,15 @@ enum Write {
 }
 
 /// Symbolic memory: a journal of writes, scanned newest-first on read.
-///
-/// The journal is copy-on-write: a path fork shares the frozen write
-/// history and copies nothing but segment handles, so fork cost does not
-/// grow with how much the path has written.
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default)]
 pub struct SymMemory {
-    writes: CowJournal<Write>,
+    writes: Vec<Write>,
 }
 
 impl SymMemory {
     /// Creates empty memory.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Splits off an independent copy in O(tail), sharing the frozen
-    /// write history with `self`.
-    pub fn fork(&mut self) -> Self {
-        SymMemory {
-            writes: self.writes.fork(),
-        }
-    }
-
-    /// The reference fork: a flat deep copy of the journal (the pre-CoW
-    /// clone), O(total writes).
-    pub fn deep_clone(&self) -> Self {
-        SymMemory {
-            writes: self.writes.deep_clone(),
-        }
-    }
-
-    /// Units a [`SymMemory::fork`] call would copy right now.
-    pub fn fork_cost(&self) -> usize {
-        self.writes.fork_cost()
-    }
-
-    /// Total writes recorded on this path.
-    pub fn write_count(&self) -> usize {
-        self.writes.len()
     }
 
     /// Records `MSTORE(addr, value)`. Non-concrete addresses are dropped
@@ -101,7 +74,7 @@ impl SymMemory {
     ///   `CalldataWord(src + (addr - dst))`;
     /// - otherwise `None` (the caller introduces a free symbol).
     pub fn load_word(&self, addr: u64) -> Option<Rc<Expr>> {
-        for w in self.writes.iter_rev() {
+        for w in self.writes.iter().rev() {
             match w {
                 Write::Word { addr: a, value } if *a == addr => return Some(Rc::clone(value)),
                 Write::Word { addr: a, .. } => {
@@ -202,10 +175,10 @@ mod tests {
     fn fork_shares_history_but_diverges() {
         let mut m = SymMemory::new();
         m.store_word(Some(0x80), Expr::c64(1));
-        let mut child = m.fork();
+        let mut child = m.clone();
         m.store_word(Some(0xa0), Expr::c64(2));
         child.store_word(Some(0xa0), Expr::c64(3));
-        // The shared prefix is visible on both sides…
+        // The pre-fork history is visible on both sides…
         assert_eq!(
             m.load_word(0x80).unwrap().as_const(),
             Some(U256::from(1u64))
@@ -222,11 +195,6 @@ mod tests {
         assert_eq!(
             child.load_word(0xa0).unwrap().as_const(),
             Some(U256::from(3u64))
-        );
-        // A deep clone reads identically to the CoW original.
-        assert_eq!(
-            m.deep_clone().load_word(0xa0).unwrap().as_const(),
-            Some(U256::from(2u64))
         );
     }
 

@@ -16,7 +16,6 @@
 
 use crate::batch::LatencyHistogram;
 use crate::cache::{body_span_hash, CacheStats, CachedContract, CachedFunction, RecoveryCache};
-use crate::exec::ForkMode;
 use crate::exec::{ExecEngine, ExecStats, Tase, TaseConfig};
 use crate::extract::{extract_dispatch_diag, DispatchEntry};
 use crate::facts::FunctionFacts;
@@ -229,7 +228,7 @@ impl SigRec {
     /// instance (and its clones — batch workers share the accumulator the
     /// way they share the cache) feeds the [`PipelineStats`] returned by
     /// [`SigRec::exec_stats`]. Off by default; when off, neither the
-    /// fork-cost probes nor the timing reads run.
+    /// fork counters nor the timing reads run.
     pub fn with_exec_stats(mut self) -> Self {
         self.config.collect_stats = true;
         self.stats = Some(Arc::new(StatsAccum::default()));
@@ -664,11 +663,11 @@ impl SigRec {
             result.rules.clear();
         }
         if self.config.disagree_on_selector == Some(entry.selector.as_u32())
-            && self.config.fork_mode == ForkMode::EagerClone
+            && self.config.exec_engine == ExecEngine::Instr
         {
             // Injected engine disagreement (see `TaseConfig::
             // disagree_on_selector`): a phantom trailing parameter that
-            // only one fork mode reports.
+            // only the per-instruction engine reports.
             result.params.push(AbiType::Bool);
         }
         // Memoising by body-extent hash is only sound when exploration
@@ -734,7 +733,6 @@ struct StatsAccum {
     steps: AtomicU64,
     paths: AtomicU64,
     forks: AtomicU64,
-    fork_units: AtomicU64,
     worklist_peak: AtomicU64,
     functions: AtomicU64,
     tase_nanos: AtomicU64,
@@ -783,7 +781,6 @@ impl Default for StatsAccum {
             steps: AtomicU64::new(0),
             paths: AtomicU64::new(0),
             forks: AtomicU64::new(0),
-            fork_units: AtomicU64::new(0),
             worklist_peak: AtomicU64::new(0),
             functions: AtomicU64::new(0),
             tase_nanos: AtomicU64::new(0),
@@ -820,7 +817,6 @@ impl StatsAccum {
         self.steps.fetch_add(exec.steps, r);
         self.paths.fetch_add(exec.paths, r);
         self.forks.fetch_add(exec.forks, r);
-        self.fork_units.fetch_add(exec.fork_units_copied, r);
         self.worklist_peak.fetch_max(exec.worklist_peak, r);
         self.functions.fetch_add(1, r);
         self.tase_nanos.fetch_add(tase.as_nanos() as u64, r);
@@ -867,7 +863,6 @@ impl StatsAccum {
                 steps: self.steps.load(r),
                 paths: self.paths.load(r),
                 forks: self.forks.load(r),
-                fork_units_copied: self.fork_units.load(r),
                 worklist_peak: self.worklist_peak.load(r),
                 worklist_contention: self.contention.load(r),
                 steals: self.steals.load(r),

@@ -1,34 +1,31 @@
 //! The block-compiled engine is a pure optimisation: for any bytecode,
 //! `ExecEngine::Block` must explore exactly the same paths and collect
 //! exactly the same facts, diagnostics and signatures as the
-//! per-instruction reference engine, under both fork modes. These tests
+//! per-instruction reference engine. These tests
 //! pin that down on compiler output across the Solidity version sweep,
 //! on randomly generated fork-heavy bytecode, on raw byte soup, and on
 //! the truncated-PUSH tails the block compiler must special-case.
 
 use proptest::prelude::*;
 use sigrec_abi::FunctionSignature;
-use sigrec_core::exec::{ExecEngine, ForkMode};
+use sigrec_core::exec::ExecEngine;
 use sigrec_core::{extract_dispatch, RecoveredFunction, SigRec, Tase, TaseConfig};
 use sigrec_evm::Disassembly;
 use sigrec_solc::{compile, CompilerConfig, FunctionSpec, SolcVersion, Visibility};
 
-const MODES: [ForkMode; 2] = [ForkMode::CopyOnWrite, ForkMode::EagerClone];
-
-fn config(engine: ExecEngine, mode: ForkMode) -> TaseConfig {
+fn config(engine: ExecEngine) -> TaseConfig {
     TaseConfig {
         exec_engine: engine,
-        fork_mode: mode,
         ..TaseConfig::default()
     }
 }
 
-/// Explores `code` from `entry` under `engine`/`mode` and returns the
-/// facts as a deterministic Debug rendering (exprs are interned, so
-/// structurally identical facts print identically).
-fn facts_under(code: &[u8], entry: usize, engine: ExecEngine, mode: ForkMode) -> String {
+/// Explores `code` from `entry` under `engine` and returns the facts as a
+/// deterministic Debug rendering (exprs are interned, so structurally
+/// identical facts print identically).
+fn facts_under(code: &[u8], entry: usize, engine: ExecEngine) -> String {
     let disasm = Disassembly::new(code);
-    let facts = Tase::new(&disasm, config(engine, mode)).explore(entry);
+    let facts = Tase::new(&disasm, config(engine)).explore(entry);
     format!("{facts:?}")
 }
 
@@ -51,7 +48,7 @@ fn spec(decl: &str) -> FunctionSpec {
 
 /// End-to-end recovery — signatures *and* diagnostics — agrees between
 /// engines over every Solidity version × optimisation combination the
-/// generator models, under both fork modes.
+/// generator models.
 #[test]
 fn block_equals_instr_across_version_sweep() {
     let decls: &[&[&str]] = &[
@@ -65,17 +62,12 @@ fn block_equals_instr_across_version_sweep() {
             for fns in decls {
                 let specs: Vec<FunctionSpec> = fns.iter().map(|d| spec(d)).collect();
                 let code = compile(&specs, &cfg).code;
-                for mode in MODES {
-                    let block = SigRec::with_config(config(ExecEngine::Block, mode))
-                        .recover_cold_with_outcome(&code);
-                    let instr = SigRec::with_config(config(ExecEngine::Instr, mode))
-                        .recover_cold_with_outcome(&code);
-                    assert_same(&block.functions, &instr.functions);
-                    assert_eq!(
-                        block.diagnostics, instr.diagnostics,
-                        "diagnostics diverge under {mode:?}"
-                    );
-                }
+                let block =
+                    SigRec::with_config(config(ExecEngine::Block)).recover_cold_with_outcome(&code);
+                let instr =
+                    SigRec::with_config(config(ExecEngine::Instr)).recover_cold_with_outcome(&code);
+                assert_same(&block.functions, &instr.functions);
+                assert_eq!(block.diagnostics, instr.diagnostics, "diagnostics diverge");
             }
         }
     }
@@ -96,14 +88,12 @@ fn facts_identical_per_dispatch_entry() {
     let entries = extract_dispatch(&disasm);
     assert!(!entries.is_empty(), "dispatcher not found");
     for entry in &entries {
-        for mode in MODES {
-            assert_eq!(
-                facts_under(&code, entry.entry, ExecEngine::Block, mode),
-                facts_under(&code, entry.entry, ExecEngine::Instr, mode),
-                "facts diverge at entry {:#x} under {mode:?}",
-                entry.entry
-            );
-        }
+        assert_eq!(
+            facts_under(&code, entry.entry, ExecEngine::Block),
+            facts_under(&code, entry.entry, ExecEngine::Instr),
+            "facts diverge at entry {:#x}",
+            entry.entry
+        );
     }
 }
 
@@ -114,18 +104,14 @@ fn facts_identical_per_dispatch_entry() {
 fn truncated_push_tail_agrees() {
     // PUSH1 0x04; CALLDATALOAD; PUSH4 with only two immediate bytes.
     let code = [0x60, 0x04, 0x35, 0x63, 0xaa, 0xbb];
-    for mode in MODES {
-        assert_eq!(
-            facts_under(&code, 0, ExecEngine::Block, mode),
-            facts_under(&code, 0, ExecEngine::Instr, mode),
-            "truncated tail diverges under {mode:?}"
-        );
-        let block =
-            SigRec::with_config(config(ExecEngine::Block, mode)).recover_cold_with_outcome(&code);
-        let instr =
-            SigRec::with_config(config(ExecEngine::Instr, mode)).recover_cold_with_outcome(&code);
-        assert_eq!(block.diagnostics, instr.diagnostics);
-    }
+    assert_eq!(
+        facts_under(&code, 0, ExecEngine::Block),
+        facts_under(&code, 0, ExecEngine::Instr),
+        "truncated tail diverges"
+    );
+    let block = SigRec::with_config(config(ExecEngine::Block)).recover_cold_with_outcome(&code);
+    let instr = SigRec::with_config(config(ExecEngine::Instr)).recover_cold_with_outcome(&code);
+    assert_eq!(block.diagnostics, instr.diagnostics);
 }
 
 /// Builds fork-heavy bytecode from raw fuzz bytes: a chain of fixed-size
@@ -160,19 +146,16 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     // Property: on arbitrary fork-heavy programs, the block-compiled and
-    // per-instruction engines produce byte-identical facts under both
-    // fork modes.
+    // per-instruction engines produce byte-identical facts.
     #[test]
     fn block_facts_equal_instr_facts_on_random_programs(
         raw in proptest::collection::vec(any::<u8>(), 3..72)
     ) {
         let code = fork_heavy_program(&raw);
-        for mode in MODES {
-            prop_assert_eq!(
-                facts_under(&code, 0, ExecEngine::Block, mode),
-                facts_under(&code, 0, ExecEngine::Instr, mode)
-            );
-        }
+        prop_assert_eq!(
+            facts_under(&code, 0, ExecEngine::Block),
+            facts_under(&code, 0, ExecEngine::Instr)
+        );
     }
 
     // Property: even on completely random byte soup (mostly invalid
@@ -182,11 +165,9 @@ proptest! {
     fn block_facts_equal_instr_facts_on_byte_soup(
         raw in proptest::collection::vec(any::<u8>(), 1..96)
     ) {
-        for mode in MODES {
-            prop_assert_eq!(
-                facts_under(&raw, 0, ExecEngine::Block, mode),
-                facts_under(&raw, 0, ExecEngine::Instr, mode)
-            );
-        }
+        prop_assert_eq!(
+            facts_under(&raw, 0, ExecEngine::Block),
+            facts_under(&raw, 0, ExecEngine::Instr)
+        );
     }
 }

@@ -7,7 +7,6 @@
 //! concrete spin loop — under a tight step budget the second function is
 //! guaranteed to exhaust `max_total_steps` while the first stays clean.
 
-use sigrec_core::exec::ForkMode;
 use sigrec_core::{recover_batch, BudgetKind, Diagnostic, SigRec, TaseConfig};
 use sigrec_evm::{Assembler, Opcode, U256};
 use sigrec_solc::{compile_single, CompilerConfig, FunctionSpec, Visibility};
@@ -60,12 +59,11 @@ fn spin_contract() -> Vec<u8> {
     asm.assemble()
 }
 
-fn tight(mode: ForkMode) -> TaseConfig {
+fn tight() -> TaseConfig {
     TaseConfig {
         max_paths: 512,
         max_steps_per_path: 2_000,
         max_total_steps: 8_000,
-        fork_mode: mode,
         ..TaseConfig::default()
     }
 }
@@ -79,83 +77,78 @@ fn contract(decl: &str) -> Vec<u8> {
 }
 
 #[test]
-fn total_step_exhaustion_is_partial_and_diagnosed_under_both_fork_modes() {
+fn total_step_exhaustion_is_partial_and_diagnosed() {
     let code = spin_contract();
-    for mode in [ForkMode::CopyOnWrite, ForkMode::EagerClone] {
-        let outcome = SigRec::with_config(tight(mode)).recover_cold_with_outcome(&code);
-        // Both dispatcher entries are present — truncation is partial,
-        // not fatal.
-        assert_eq!(outcome.functions.len(), 2, "{mode:?}");
-        assert!(!outcome.is_complete(), "{mode:?}");
-        let spin = outcome
-            .functions
-            .iter()
-            .find(|f| f.selector.as_u32() as u64 == SPIN_SELECTOR)
-            .expect("spin entry recovered");
-        assert!(
-            spin.budgets.contains(&BudgetKind::TotalSteps),
-            "{mode:?}: budgets were {:?}",
-            spin.budgets
-        );
-        // The diagnostic names the same selector.
-        assert!(
-            outcome.diagnostics.iter().any(|d| matches!(
-                d,
-                Diagnostic::BudgetExhausted { selector, kind: BudgetKind::TotalSteps, .. }
-                    if selector.as_u32() as u64 == SPIN_SELECTOR
-            )),
-            "{mode:?}: diagnostics were {:?}",
-            outcome.diagnostics
-        );
-        // The well-behaved sibling carries no lossy budget.
-        let good = outcome
-            .functions
-            .iter()
-            .find(|f| f.selector.as_u32() as u64 == GOOD_SELECTOR)
-            .expect("good entry recovered");
-        assert!(
-            good.budgets.iter().all(|b| !b.is_lossy()),
-            "{mode:?}: good budgets were {:?}",
-            good.budgets
-        );
-    }
+    let outcome = SigRec::with_config(tight()).recover_cold_with_outcome(&code);
+    // Both dispatcher entries are present — truncation is partial, not
+    // fatal.
+    assert_eq!(outcome.functions.len(), 2);
+    assert!(!outcome.is_complete());
+    let spin = outcome
+        .functions
+        .iter()
+        .find(|f| f.selector.as_u32() as u64 == SPIN_SELECTOR)
+        .expect("spin entry recovered");
+    assert!(
+        spin.budgets.contains(&BudgetKind::TotalSteps),
+        "budgets were {:?}",
+        spin.budgets
+    );
+    // The diagnostic names the same selector.
+    assert!(
+        outcome.diagnostics.iter().any(|d| matches!(
+            d,
+            Diagnostic::BudgetExhausted { selector, kind: BudgetKind::TotalSteps, .. }
+                if selector.as_u32() as u64 == SPIN_SELECTOR
+        )),
+        "diagnostics were {:?}",
+        outcome.diagnostics
+    );
+    // The well-behaved sibling carries no lossy budget.
+    let good = outcome
+        .functions
+        .iter()
+        .find(|f| f.selector.as_u32() as u64 == GOOD_SELECTOR)
+        .expect("good entry recovered");
+    assert!(
+        good.budgets.iter().all(|b| !b.is_lossy()),
+        "good budgets were {:?}",
+        good.budgets
+    );
 }
 
 #[test]
-fn deadline_cuts_exploration_and_is_diagnosed_under_both_fork_modes() {
+fn deadline_cuts_exploration_and_is_diagnosed() {
     let code = spin_contract();
-    for mode in [ForkMode::CopyOnWrite, ForkMode::EagerClone] {
-        // Effectively unlimited step budgets: the infinite concrete spin
-        // loop means only the wall clock can end this exploration, so a
-        // `Deadline` cut is guaranteed rather than racing the step caps.
-        let config = TaseConfig {
-            fork_mode: mode,
-            max_steps_per_path: usize::MAX,
-            max_total_steps: usize::MAX,
-            max_wall_time: Some(Duration::from_millis(30)),
-            ..TaseConfig::default()
-        };
-        let started = Instant::now();
-        let outcome = SigRec::with_config(config).recover_cold_with_outcome(&code);
-        let elapsed = started.elapsed();
-        assert!(
-            elapsed < Duration::from_secs(2),
-            "{mode:?}: deadline ignored, ran {elapsed:?}"
-        );
-        assert_eq!(outcome.functions.len(), 2, "{mode:?}");
-        assert!(
-            outcome.diagnostics.iter().any(|d| matches!(
-                d,
-                Diagnostic::BudgetExhausted {
-                    kind: BudgetKind::Deadline,
-                    ..
-                }
-            )),
-            "{mode:?}: diagnostics were {:?}",
-            outcome.diagnostics
-        );
-        assert!(!outcome.is_complete(), "{mode:?}");
-    }
+    // Effectively unlimited step budgets: the infinite concrete spin loop
+    // means only the wall clock can end this exploration, so a `Deadline`
+    // cut is guaranteed rather than racing the step caps.
+    let config = TaseConfig {
+        max_steps_per_path: usize::MAX,
+        max_total_steps: usize::MAX,
+        max_wall_time: Some(Duration::from_millis(30)),
+        ..TaseConfig::default()
+    };
+    let started = Instant::now();
+    let outcome = SigRec::with_config(config).recover_cold_with_outcome(&code);
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < Duration::from_secs(2),
+        "deadline ignored, ran {elapsed:?}"
+    );
+    assert_eq!(outcome.functions.len(), 2);
+    assert!(
+        outcome.diagnostics.iter().any(|d| matches!(
+            d,
+            Diagnostic::BudgetExhausted {
+                kind: BudgetKind::Deadline,
+                ..
+            }
+        )),
+        "diagnostics were {:?}",
+        outcome.diagnostics
+    );
+    assert!(!outcome.is_complete());
 }
 
 #[test]
@@ -194,7 +187,7 @@ fn deadline_truncated_results_are_never_memoised() {
 #[test]
 fn warm_outcome_replays_cold_outcome_including_budgets() {
     let code = spin_contract();
-    let sigrec = SigRec::with_config(tight(ForkMode::CopyOnWrite));
+    let sigrec = SigRec::with_config(tight());
     let cold = sigrec.recover_with_outcome(&code);
     let warm = sigrec.recover_with_outcome(&code);
     assert!(sigrec.cache_stats().contract_hits >= 1);
@@ -220,11 +213,7 @@ fn pathological_contract_does_not_poison_a_64_contract_batch() {
     ];
     let mut codes: Vec<Vec<u8>> = (0..63).map(|i| contract(decls[i % decls.len()])).collect();
     codes.insert(31, spin_contract());
-    let result = recover_batch(
-        &SigRec::with_config(tight(ForkMode::CopyOnWrite)),
-        &codes,
-        4,
-    );
+    let result = recover_batch(&SigRec::with_config(tight()), &codes, 4);
     assert_eq!(result.items.len(), 64);
     for item in &result.items {
         if item.index == 31 {

@@ -7,8 +7,8 @@
 //! 1. **No panic** — every path on every case completes or is caught as a
 //!    violation, never unwinds.
 //! 2. **Path agreement** — under purely deterministic budgets all
-//!    twenty-two pipeline paths (cold/warm/batch × execution engines ×
-//!    fork modes, plus the persistent-store cold/warm-restart pair)
+//!    twelve pipeline paths (cold/warm/batch × execution engines, plus
+//!    the persistent-store cold/warm-restart pair)
 //!    produce the same structural digest, truncated or not, plus a
 //!    further check that a warm [`SigRec::recover_with_outcome`]
 //!    replays the cold outcome's diagnostics exactly, plus a final
@@ -435,13 +435,13 @@ mod tests {
         });
         assert_eq!(report.cases, 20);
         assert!(report.is_green(), "{}", report.summary());
-        // 24 paths per case (engines × fork modes × pipeline paths, the
+        // 14 paths per case (engines × pipeline paths, the
         // persistent-store cold/warm-restart pair, plus the warm-outcome
         // replay and the per-rule inference cross-check), plus one extra
         // linked-resolution path per cyclic-routing case and one
         // tail-less comparison per factory-child case (two of each in
         // two full rounds of the ten kinds).
-        assert_eq!(report.paths_checked, 20 * 24 + 2 + 2);
+        assert_eq!(report.paths_checked, 20 * 14 + 2 + 2);
         // The corpus contains engineered truncations; at least the two
         // DeepLoop cases must have been cut by budgets.
         assert!(report.truncated_cases >= 2, "{}", report.summary());

@@ -8,7 +8,7 @@
 //! and the variant's signature set must match the identity emission's.
 //! On top of the oracle (which runs under the tree inference engine and
 //! already cross-checks one cold per-rule recovery), every case re-runs
-//! all twenty-two execution paths under [`InferEngine::PerRule`] and compares
+//! all twelve execution paths under [`InferEngine::PerRule`] and compares
 //! them *path for path* against the tree engine's — same path name, same
 //! structural digest. Any disagreement comes back already shrunk to a
 //! minimal reproducer (oracle violations) or as a named path mismatch
