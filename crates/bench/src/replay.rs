@@ -69,9 +69,6 @@ struct Epoch {
     /// every contract from the store's contract records before anything
     /// is planned, so its compile time is exactly zero.
     compile_ms: f64,
-    /// Blocks the lazy reachable-block compiler skipped across the
-    /// epoch's compiles.
-    lazy_blocks_skipped: u64,
 }
 
 /// A scratch store directory under the system temp dir, unique per
@@ -138,7 +135,6 @@ fn run_epoch(dir: &Path, stream: &[Vec<u8>], bundles: &[ScenarioBundle]) -> Epoc
         torn_tail_seen,
         stale_index_seen,
         compile_ms: profile.compile_time.as_secs_f64() * 1e3,
-        lazy_blocks_skipped: profile.lazy_blocks_skipped,
     }
 }
 
@@ -291,7 +287,7 @@ pub fn replay(scale: &Scale) -> String {
         "  \"cold\": {{ \"seconds\": {:.4}, \"contracts_per_sec\": {:.2}, \
          \"disk_misses\": {}, \"records_appended\": {}, \
          \"bytes_appended\": {}, \"fsyncs\": {}, \
-         \"compile\": {{ \"compile_ms\": {:.2}, \"lazy_blocks_skipped\": {} }} }},\n",
+         \"compile\": {{ \"compile_ms\": {:.2} }} }},\n",
         r.cold.secs,
         cps(r.cold.secs),
         r.cold.stats.disk_misses,
@@ -299,13 +295,12 @@ pub fn replay(scale: &Scale) -> String {
         r.cold.stats.bytes_appended,
         r.cold.stats.fsyncs,
         r.cold.compile_ms,
-        r.cold.lazy_blocks_skipped,
     ));
     json.push_str(&format!(
         "  \"warm_restart\": {{ \"seconds\": {:.4}, \"contracts_per_sec\": {:.2}, \
          \"speedup_vs_cold\": {:.2}, \"disk_hits\": {}, \"disk_misses\": {}, \
          \"disk_hit_rate\": {:.4}, \"records_appended\": {}, \"bytes_read\": {}, \
-         \"compile\": {{ \"compile_ms\": {:.2}, \"lazy_blocks_skipped\": {} }} }},\n",
+         \"compile\": {{ \"compile_ms\": {:.2} }} }},\n",
         r.warm.secs,
         cps(r.warm.secs),
         speedup,
@@ -315,14 +310,13 @@ pub fn replay(scale: &Scale) -> String {
         r.warm.stats.records_appended,
         r.warm.stats.bytes_read,
         r.warm.compile_ms,
-        r.warm.lazy_blocks_skipped,
     ));
     json.push_str(&format!(
         "  \"crash_restart\": {{ \"seconds\": {:.4}, \"contracts_per_sec\": {:.2}, \
          \"speedup_vs_cold\": {:.2}, \"torn_bytes\": {}, \"torn_tails\": {}, \
          \"index_rebuilds\": {}, \"corrupt_records\": {}, \"disk_hit_rate\": {:.4}, \
          \"records_appended\": {}, \
-         \"compile\": {{ \"compile_ms\": {:.2}, \"lazy_blocks_skipped\": {} }} }},\n",
+         \"compile\": {{ \"compile_ms\": {:.2} }} }},\n",
         r.crash.secs,
         cps(r.crash.secs),
         r.crash_speedup(),
@@ -333,7 +327,6 @@ pub fn replay(scale: &Scale) -> String {
         r.crash.stats.disk_hit_rate(),
         r.crash.stats.records_appended,
         r.crash.compile_ms,
-        r.crash.lazy_blocks_skipped,
     ));
     json.push_str(&format!(
         "  \"store\": {{ \"contracts_on_disk\": {} }},\n",

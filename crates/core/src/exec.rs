@@ -187,13 +187,28 @@ struct PathState {
     steps: usize,
 }
 
+/// What a free symbol stands for. Storage slots and symbolic memory
+/// addresses key by the expression itself (structural equality, hashed by
+/// its `dag_hash`), so two distinct expressions whose 64-bit hashes
+/// collide never share a symbol.
+#[derive(PartialEq, Eq, Hash)]
+enum SymKey {
+    /// An environment read, a per-pc fresh value, or the word at a
+    /// concrete memory address.
+    Named(String),
+    /// `SLOAD` of this slot.
+    SLoad(Rc<Expr>),
+    /// `MLOAD` of this symbolic address.
+    MLoad(Rc<Expr>),
+}
+
 /// The executor for one contract.
 pub struct Tase<'a> {
     disasm: &'a Disassembly,
     config: TaseConfig,
     /// jumpi pc → forward exit pc, for statically detected loop heads.
     loop_exits: PcMap<usize>,
-    syms: HashMap<String, u32>,
+    syms: HashMap<SymKey, u32>,
     next_sym: u32,
     facts: FunctionFacts,
     total_steps: usize,
@@ -277,7 +292,7 @@ impl<'a> Tase<'a> {
                 .into_iter()
                 .collect(),
         };
-        let residue = self.intern("dispatch-residue");
+        let residue = self.intern(SymKey::Named("dispatch-residue".to_string()));
         let init = PathState {
             pc: entry,
             stack: vec![residue],
@@ -319,21 +334,17 @@ impl<'a> Tase<'a> {
         (self.facts, self.stats)
     }
 
-    fn intern(&mut self, key: &str) -> Rc<Expr> {
-        let id = match self.syms.get(key) {
-            Some(&id) => id,
-            None => {
-                let id = self.next_sym;
-                self.next_sym += 1;
-                self.syms.insert(key.to_string(), id);
-                id
-            }
-        };
+    fn intern(&mut self, key: SymKey) -> Rc<Expr> {
+        let next = self.next_sym;
+        let id = *self.syms.entry(key).or_insert(next);
+        if id == next {
+            self.next_sym += 1;
+        }
         Expr::free_sym(id)
     }
 
     fn fresh(&mut self, tag: &str, pc: usize) -> Rc<Expr> {
-        self.intern(&format!("{tag}:{pc}"))
+        self.intern(SymKey::Named(format!("{tag}:{pc}")))
     }
 
     /// The three per-instruction budget checks (path steps, total steps,
@@ -411,27 +422,10 @@ impl<'a> Tase<'a> {
             }
             // Data bytes and pcs past the end have no step — same implicit
             // STOP as `disasm.at(pc) == None` on the reference engine.
-            let Some(idx) = p.step_index(st.pc) else {
+            let Some(step) = p.step_at(st.pc) else {
                 return;
             };
-            let step = &p.steps()[idx];
-            // Lazily-compiled programs leave statically-unreachable blocks
-            // as placeholder steps (no immediates, no fusion). A computed
-            // jump can still land here; run those instructions through the
-            // reference per-instruction semantics so the result is
-            // bit-identical to a full compile.
-            let flow = if p.block_compiled(step.block) {
-                self.block_step(&mut st, step, worklist)
-            } else {
-                let Some(ins) = self.disasm.at(st.pc) else {
-                    return;
-                };
-                let next_pc = ins.next_pc();
-                let pc = st.pc;
-                self.bookkeep(&mut st, pc, next_pc);
-                self.step(&mut st, ins.opcode, ins.push_value(), next_pc, worklist)
-            };
-            match flow {
+            match self.block_step(&mut st, step, worklist) {
                 Flow::Continue(pc) => st.pc = pc,
                 Flow::End => return,
             }
@@ -472,7 +466,7 @@ impl<'a> Tase<'a> {
                 }
                 self.bookkeep(st, op_pc, step.next_pc);
                 match target {
-                    JumpTarget::Valid { pc, .. } => self.enter_block(st, pc),
+                    JumpTarget::Valid(pc) => self.enter_block(st, pc),
                     JumpTarget::Invalid => Flow::End,
                     JumpTarget::Huge => {
                         // The reference engine classifies a target that
@@ -500,7 +494,7 @@ impl<'a> Tase<'a> {
                     }
                     // Taking the jump would fault; only fallthrough is viable.
                     JumpTarget::Invalid => Flow::Continue(step.next_pc),
-                    JumpTarget::Valid { pc: t, .. } => {
+                    JumpTarget::Valid(t) => {
                         self.branch(st, op_pc, t, step.next_pc, &cond, worklist)
                     }
                 }
@@ -793,8 +787,8 @@ impl<'a> Tase<'a> {
                     Some(a) => st
                         .memory
                         .load_word(a)
-                        .unwrap_or_else(|| self.intern(&format!("mem:{a}"))),
-                    None => self.intern(&format!("mem?:{}", addr.key())),
+                        .unwrap_or_else(|| self.intern(SymKey::Named(format!("mem:{a}")))),
+                    None => self.intern(SymKey::MLoad(addr)),
                 };
                 st.stack.push(value);
             }
@@ -810,7 +804,7 @@ impl<'a> Tase<'a> {
             }
             SLoad => {
                 let key = pop!();
-                let s = self.intern(&format!("sload:{}", key.key()));
+                let s = self.intern(SymKey::SLoad(key));
                 st.stack.push(s);
             }
             SStore => {
@@ -819,7 +813,7 @@ impl<'a> Tase<'a> {
             }
             Address | Origin | Caller | CallValue | GasPrice | Coinbase | Timestamp | Number
             | Difficulty | GasLimit | ChainId | SelfBalance | BaseFee | ReturnDataSize => {
-                let s = self.intern(&op.mnemonic());
+                let s = self.intern(SymKey::Named(op.mnemonic()));
                 st.stack.push(s);
             }
             MSize | Gas | Pc => {
@@ -1232,19 +1226,54 @@ mod tests {
         assert!(f.uses.iter().any(|u| u.usage == Usage::DoubleIsZero));
     }
 
+    /// The two operands of a recorded `LT` guard.
+    fn lt_operands(g: &GuardFact) -> (Rc<Expr>, Rc<Expr>) {
+        match g.cond.kind() {
+            ExprKind::Binary(BinOp::Lt, a, b) => (Rc::clone(a), Rc::clone(b)),
+            _ => panic!("expected an LT guard, got {}", g.cond),
+        }
+    }
+
     #[test]
     fn sload_interned_per_slot() {
-        // Two SLOAD(0) must be the same symbol; SLOAD(1) a different one.
+        // LT(SLOAD(0), SLOAD(0)) guards a JUMPI, then LT(SLOAD(1), SLOAD(0))
+        // guards another: two SLOAD(0) are one symbol, SLOAD(1) another.
         let mut a = Assembler::new();
+        let (first, second) = (a.fresh_label(), a.fresh_label());
         a.push_u64(0).op(Op::SLoad);
         a.push_u64(0).op(Op::SLoad);
-        a.op(Op::Eq).op(Op::Pop);
-        a.push_u64(1).op(Op::SLoad).op(Op::Pop).op(Op::Stop);
-        let d = Disassembly::new(&a.assemble());
-        let t = Tase::new(&d, TaseConfig::default());
-        let f = t.explore(0);
-        let _ = f; // interning is observable via guard/use expressions; this
-                   // test mainly asserts clean termination.
+        a.op(Op::Lt).push_label(first).op(Op::JumpI);
+        a.jumpdest(first);
+        a.push_u64(0).op(Op::SLoad);
+        a.push_u64(1).op(Op::SLoad);
+        a.op(Op::Lt).push_label(second).op(Op::JumpI);
+        a.jumpdest(second).op(Op::Stop);
+        let f = explore(&a.assemble(), 0);
+        assert_eq!(f.guards.len(), 2);
+        let (x, y) = lt_operands(&f.guards[0]);
+        assert!(Rc::ptr_eq(&x, &y), "SLOAD(0) twice gave {x} and {y}");
+        assert!(matches!(x.kind(), ExprKind::FreeSym(_)));
+        let (one, zero) = lt_operands(&f.guards[1]);
+        assert!(Rc::ptr_eq(&zero, &x), "SLOAD(0) changed symbol: {zero}");
+        assert_ne!(one, zero, "SLOAD(1) shares SLOAD(0)'s symbol");
+    }
+
+    #[test]
+    fn sload_symbols_stay_distinct_on_hash_collision() {
+        // SLOAD(CALLDATALOAD(a)) and SLOAD(CALLDATALOAD(b)) for constants
+        // a != b whose structural hashes collide (and so do their
+        // CALLDATALOAD parents): the slots differ, so the symbols must.
+        let (ca, cb) = crate::expr::tests::colliding_constants();
+        let mut a = Assembler::new();
+        let done = a.fresh_label();
+        a.push_sized(cb, 32).op(Op::CallDataLoad).op(Op::SLoad);
+        a.push_sized(ca, 32).op(Op::CallDataLoad).op(Op::SLoad);
+        a.op(Op::Lt).push_label(done).op(Op::JumpI);
+        a.jumpdest(done).op(Op::Stop);
+        let f = explore(&a.assemble(), 0);
+        assert_eq!(f.guards.len(), 1);
+        let (x, y) = lt_operands(&f.guards[0]);
+        assert_ne!(x, y, "colliding slots share the symbol {x}");
     }
 
     #[test]
@@ -1284,11 +1313,11 @@ mod tests {
     }
 
     #[test]
-    fn lazy_program_falls_back_on_computed_jump_targets() {
+    fn computed_jump_target_block_matches_instr() {
         // PUSH1 3; PUSH1 4; ADD; JUMP lands on a JUMPDEST no pushed
-        // constant names, so the lazy compile leaves the landing block as
-        // placeholders — the executor must run it through the reference
-        // per-instruction semantics and still observe the load.
+        // constant names; the block engine runs the landing block's fused
+        // PUSH; CALLDATALOAD and must observe exactly what the reference
+        // engine does.
         let code = [
             0x60, 0x03, // PUSH1 3
             0x60, 0x04, // PUSH1 4
@@ -1302,13 +1331,16 @@ mod tests {
             0x00, // STOP
         ];
         let d = Disassembly::new(&code);
-        let lazy = Program::compile_reachable(&d, &[0]);
-        assert!(
-            lazy.uncompiled_block_count() > 0,
-            "the landing block must be a placeholder for this test to bite"
-        );
+        let program = Program::compile(&d);
+        assert!(matches!(
+            program.step_at(8).unwrap().kind,
+            StepKind::FusedPushOp {
+                op: Opcode::CallDataLoad,
+                ..
+            }
+        ));
         let block = Tase::new(&d, TaseConfig::default())
-            .with_program(Arc::new(lazy))
+            .with_program(Arc::new(program))
             .explore(0);
         let instr = Tase::new(
             &d,
@@ -1319,8 +1351,7 @@ mod tests {
         )
         .explore(0);
         assert_eq!(block.loads.len(), 1);
-        assert_eq!(block.loads.len(), instr.loads.len());
-        assert_eq!(block.loads[0].pc, instr.loads[0].pc);
-        assert_eq!(block.paths_explored, instr.paths_explored);
+        assert_eq!(block.loads[0].pc, 10);
+        assert_eq!(format!("{block:?}"), format!("{instr:?}"));
     }
 }

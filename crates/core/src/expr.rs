@@ -631,6 +631,14 @@ impl PartialEq for Expr {
 
 impl Eq for Expr {}
 
+/// Hashes by the cached structural hash, which equal expressions share, so
+/// an `Rc<Expr>` can key a map under the structural `Eq` above.
+impl std::hash::Hash for Expr {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash);
+    }
+}
+
 impl fmt::Display for Expr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         fn go(e: &Expr, depth: usize, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -714,7 +722,7 @@ pub fn un(op: UnOp, a: Rc<Expr>) -> Rc<Expr> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     fn cdw(loc: Rc<Expr>) -> Rc<Expr> {
@@ -868,12 +876,17 @@ mod tests {
             .wrapping_sub(h >> 2)
     }
 
+    /// Two distinct constants whose structural hashes collide.
+    pub(crate) fn colliding_constants() -> (U256, U256) {
+        let first = U256::from_limbs([1, 2, 3, 4]);
+        let x = unmix(mix(mix(mix(1, 7), 8), 9), Expr::constant(first).dag_hash());
+        (first, U256::from_limbs([7, 8, 9, x]))
+    }
+
     #[test]
     fn colliding_constants_stay_distinct() {
-        let first = U256::from_limbs([1, 2, 3, 4]);
+        let (first, second) = colliding_constants();
         let a = Expr::constant(first);
-        let x = unmix(mix(mix(mix(1, 7), 8), 9), a.dag_hash());
-        let second = U256::from_limbs([7, 8, 9, x]);
         let b = Expr::constant(second);
         assert_eq!(a.dag_hash(), b.dag_hash(), "the pair must collide");
         assert_eq!(a.as_const(), Some(first));

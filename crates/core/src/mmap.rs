@@ -10,8 +10,8 @@
 //! difference: [`Mapping::as_slice`] is the whole contract.
 //!
 //! Lifetime rule: a mapping's bytes are only borrowed *inside* the store
-//! while a record is verified and decoded into owned structures
-//! (`RecoveredFunction`s, a `Program`). Nothing borrowed from the
+//! while a record is verified and decoded into owned
+//! `RecoveredFunction`s. Nothing borrowed from the
 //! mapping escapes the store's API, so segment files can be remapped or
 //! the cache dropped without dangling references.
 

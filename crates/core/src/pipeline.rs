@@ -499,18 +499,10 @@ impl SigRec {
         let program = match self.config.exec_engine {
             ExecEngine::Block => {
                 let compile_start = self.stats.as_ref().map(|_| Instant::now());
-                // Lazy compile: only blocks reachable from the dispatch
-                // entries get the full pre-decode; the executor falls back
-                // to per-instruction semantics for anything a computed
-                // jump discovers at run time.
-                let entry_pcs: Vec<usize> = extraction.table.iter().map(|e| e.entry).collect();
-                let program = Arc::new(Program::compile_reachable(&disasm, &entry_pcs));
+                let program = Arc::new(Program::compile(&disasm));
                 if let (Some(acc), Some(t0)) = (&self.stats, compile_start) {
-                    let r = Ordering::Relaxed;
                     acc.compile_nanos
-                        .fetch_add(t0.elapsed().as_nanos() as u64, r);
-                    acc.lazy_blocks_skipped
-                        .fetch_add(program.uncompiled_block_count() as u64, r);
+                        .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
                 }
                 #[cfg(test)]
                 self.planned_programs
@@ -747,8 +739,6 @@ struct StatsAccum {
     infer_shared_nanos: AtomicU64,
     /// Wall-clock spent block-compiling programs (plan stage).
     compile_nanos: AtomicU64,
-    /// Blocks the lazy reachable-block compiler left as placeholders.
-    lazy_blocks_skipped: AtomicU64,
     /// Scheduler park events, reported by the batch driver after its
     /// workers join. The batch scheduler itself keeps *plain* per-worker
     /// counters (each owned exclusively by one worker for the pool's
@@ -790,7 +780,6 @@ impl Default for StatsAccum {
             infer_refine_nanos: AtomicU64::new(0),
             infer_shared_nanos: AtomicU64::new(0),
             compile_nanos: AtomicU64::new(0),
-            lazy_blocks_skipped: AtomicU64::new(0),
             contention: AtomicU64::new(0),
             steals: AtomicU64::new(0),
             steal_failures: AtomicU64::new(0),
@@ -882,7 +871,6 @@ impl StatsAccum {
             infer_refine_time: Duration::from_nanos(self.infer_refine_nanos.load(r)),
             infer_shared_time: Duration::from_nanos(self.infer_shared_nanos.load(r)),
             compile_time: Duration::from_nanos(self.compile_nanos.load(r)),
-            lazy_blocks_skipped: self.lazy_blocks_skipped.load(r),
             // Keyed on hits, not on nonzero time: a rule whose exclusive
             // share rounds to zero nanoseconds still fired.
             rule_time: RuleId::ALL
@@ -941,9 +929,6 @@ pub struct PipelineStats {
     /// compile per planned contract (zero under [`ExecEngine::Instr`]
     /// and for contract-level cache hits).
     pub compile_time: Duration,
-    /// Basic blocks the lazy reachable-block compiler left as cheap
-    /// placeholders instead of fully pre-decoding, summed over compiles.
-    pub lazy_blocks_skipped: u64,
     /// Per-rule *exclusive* inference time: each call's duration minus
     /// its index build splits evenly across the distinct rules that
     /// fired, so entries never overlap and
